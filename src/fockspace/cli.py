@@ -10,9 +10,11 @@ quantities are in atomic units.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -35,6 +37,28 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _finite(text: str) -> float:
+    """argparse type for float options; "nan" and "inf" parse but are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _node_count(text: str) -> int:
+    """argparse type for --nodes: the range every quadrature rule accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 2 <= value <= 4096:
+        raise argparse.ArgumentTypeError(f"expected an integer in [2, 4096], got {text!r}")
+    return value
 
 
 def _parse_grid(values, parser) -> np.ndarray:
@@ -78,6 +102,8 @@ def cmd_eval(args, parser) -> int:
         value = hydrogen.psi_position(qn, point)
     else:
         value = hydrogen.psi_momentum(qn, point)
+    if not cmath.isfinite(value):
+        parser.error("the wavefunction overflows at this point")
     if args.format == "json":
         payload = {
             "kind": args.kind,
@@ -106,8 +132,8 @@ def _table_rows(args, parser):
         grid = _parse_grid(args.grid, parser)
         if grid[0] < 0:
             parser.error("radial grid must be nonnegative")
-        vals = hydrogen.radial_position(args.n, args.l, grid)
-        return ["r_bohr", "R_nl"], [[_fnum(r), _fnum(v)] for r, v in zip(grid, np.atleast_1d(vals))]
+        vals = np.atleast_1d(hydrogen.radial_position(args.n, args.l, grid))
+        return ["r_bohr", "R_nl"], [[r, v] for r, v in zip(grid, vals)]
     if args.kind == "momentum-radial":
         if args.n is None or args.l is None:
             parser.error("table momentum-radial needs --n and --l")
@@ -118,7 +144,7 @@ def _table_rows(args, parser):
         vals = np.atleast_1d(hydrogen.radial_momentum(args.n, args.l, grid))
         return (
             ["p_au", "re", "im", "abs"],
-            [[_fnum(p), _fnum(v.real), _fnum(v.imag), _fnum(abs(v))] for p, v in zip(grid, vals)],
+            [[p, v.real, v.imag, abs(v)] for p, v in zip(grid, vals)],
         )
     if args.kind == "gegenbauer":
         if args.a is None or args.m is None:
@@ -128,7 +154,7 @@ def _table_rows(args, parser):
             vals = np.atleast_1d(specfun.gegenbauer(args.m, args.a, grid))
         except ValueError as exc:
             parser.error(str(exc))
-        return ["x", "C_m_a"], [[_fnum(x), _fnum(v)] for x, v in zip(grid, vals)]
+        return ["x", "C_m_a"], [[x, v] for x, v in zip(grid, vals)]
     if args.kind == "fock":
         if args.delta is None:
             parser.error("table fock needs --delta")
@@ -144,20 +170,22 @@ def _table_rows(args, parser):
         for p in grid:
             y = hydrogen.fock_map((0.0, 0.0, float(p)), args.delta).y
             norm = math.sqrt(sum(c * c for c in y))
-            rows.append([_fnum(p)] + [_fnum(c) for c in y] + [_fnum(norm)])
+            rows.append([p, *y, norm])
         return ["p_au", "y1", "y2", "y3", "y4", "norm"], rows
     parser.error(f"unknown table kind {args.kind!r}")
 
 
 def cmd_table(args, parser) -> int:
     columns, rows = _table_rows(args, parser)
+    if not np.all(np.isfinite(rows)):
+        parser.error("the tabulated function overflows on this grid")
     if args.format == "json":
         payload = {"kind": args.kind, "columns": columns,
                    "rows": [[float(v) for v in row] for row in rows],
                    "units": "atomic"}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
-        lines = [",".join(columns)] + [",".join(row) for row in rows]
+        lines = [",".join(columns)] + [",".join(map(_fnum, row)) for row in rows]
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -179,8 +207,10 @@ def _report_text(report: verify.VerificationReport, fmt: str) -> str:
 def cmd_verify(args, parser, subset: str = "full") -> int:
     tols = _parse_tols(args.tol, parser)
     if subset == "det":
+        t0 = time.perf_counter()
         cases, disc = verify.suite_clifford(args.seed, tols, args.nodes, subset="det")
-        report = verify.VerificationReport("clifford-det", cases, args.seed, 0, disc)
+        elapsed = int(round(1000.0 * (time.perf_counter() - t0)))
+        report = verify.VerificationReport("clifford-det", cases, args.seed, elapsed, disc)
     else:
         report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
     _emit(_report_text(report, args.format), args.out)
@@ -216,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--l", type=int, required=True)
     p_eval.add_argument("--m", type=int, required=True)
-    p_eval.add_argument("--point", type=float, nargs=3, required=True,
+    p_eval.add_argument("--point", type=_finite, nargs=3, required=True,
                         metavar=("X", "Y", "Z"))
     add_common(p_eval)
 
@@ -225,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=int)
     p_table.add_argument("--l", type=int)
     p_table.add_argument("--m", type=int)
-    p_table.add_argument("--a", type=float)
-    p_table.add_argument("--delta", type=float)
-    p_table.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "COUNT"))
-    p_table.add_argument("--grid-p", type=float, nargs=3, dest="grid_p",
+    p_table.add_argument("--a", type=_finite)
+    p_table.add_argument("--delta", type=_finite)
+    p_table.add_argument("--grid", type=_finite, nargs=3, metavar=("START", "STOP", "COUNT"))
+    p_table.add_argument("--grid-p", type=_finite, nargs=3, dest="grid_p",
                          metavar=("START", "STOP", "COUNT"))
     add_common(p_table)
 
@@ -236,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
-        p.add_argument("--nodes", type=int, default=None,
+        p.add_argument("--nodes", type=_node_count, default=None,
                        help="quadrature node-count override")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", metavar="PATH", default=None)
@@ -246,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_verify_opts(p_verify)
 
     p_fock = sub.add_parser("fock-map", help="tabulate the momentum-to-sphere map")
-    p_fock.add_argument("--delta", type=float, required=True)
-    p_fock.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "COUNT"))
-    p_fock.add_argument("--grid-p", type=float, nargs=3, dest="grid_p",
+    p_fock.add_argument("--delta", type=_finite, required=True)
+    p_fock.add_argument("--grid", type=_finite, nargs=3, metavar=("START", "STOP", "COUNT"))
+    p_fock.add_argument("--grid-p", type=_finite, nargs=3, dest="grid_p",
                         metavar=("START", "STOP", "COUNT"))
     add_common(p_fock)
 

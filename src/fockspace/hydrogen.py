@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, SingularityError
 from .specfun import MonomialPair, QuantumNumbers, gegenbauer, laguerre, spherical_harmonic
@@ -121,7 +120,7 @@ class GenFuncParams:
 def normalization(n: int, l: int) -> float:
     """Radial normalization N_nl = (2/n^2) sqrt((n-l-1)!/(n+l)!)."""
     QuantumNumbers(n, l, 0)
-    return (2.0 / n ** 2) * math.exp(0.5 * (gammaln(n - l) - gammaln(n + l + 1)))
+    return (2.0 / n ** 2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
 
 
 def radial_position(n: int, l: int, r):
@@ -173,7 +172,7 @@ def radial_momentum(n: int, l: int, p):
     val = (
         1j ** l
         * normalization(n, l)
-        * math.exp(gammaln(l + 1.0)) / _SQRT2PI
+        * math.exp(math.lgamma(l + 1.0)) / _SQRT2PI
         * n * (4.0 * delta) ** (l + 1)
         / p2d2 ** (l + 2)
         * gegenbauer(n - l - 1, l + 1.0, x)
@@ -416,7 +415,7 @@ def extract_coefficient(
     grid_a = ac[None, :, None, None]
     grid_xi = xic[None, None, :, None]
     grid_eta = etac[None, None, None, :]
-    phi_norm = math.exp(0.5 * (gammaln(l + m + 1.0) + gammaln(l - m + 1.0)))
+    phi_norm = math.exp(0.5 * (math.lgamma(l + m + 1.0) + math.lgamma(l - m + 1.0)))
 
     raw = _genfunc_position_raw if kind == "position" else _genfunc_momentum_raw
 

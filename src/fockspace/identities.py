@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import quadrature
 from .errors import IntegrabilityError
@@ -107,8 +106,9 @@ def _bessel_ratio(nu: float, w: float, terms: int = 80) -> float:
     h = 0.25 * w * w
     total = 0.0
     for k in range(terms):
-        total += (-h) ** k * math.exp(-gammaln(k + 1.0) - gammaln(nu + k + 1.0))
-        if k > 4 and abs((-h) ** k * math.exp(-gammaln(k + 1.0) - gammaln(nu + k + 1.0))) < 1e-18:
+        term = (-h) ** k * math.exp(-math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
+        total += term
+        if k > 4 and abs(term) < 1e-18:
             break
     return total
 
@@ -128,10 +128,10 @@ def bessel_genfunc(a: float, z: float, chi: float, terms: int = 60) -> BesselGen
         raise ValueError(f"need z >= 0, got z={z}")
     w = z * math.sin(chi)
     lhs = math.exp(z * math.cos(chi)) * _bessel_ratio(a - 0.5, w)
-    lg2a = gammaln(2.0 * a)
-    lgha = gammaln(a + 0.5)
+    lg2a = math.lgamma(2.0 * a)
+    lgha = math.lgamma(a + 0.5)
     rhs = sum(
-        math.exp(lg2a - lgha - gammaln(2.0 * a + nn))
+        math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn))
         * gegenbauer(nn, a, math.cos(chi)) * z ** nn
         for nn in range(terms)
     )
@@ -236,8 +236,8 @@ def duplication_check(n: int) -> DuplicationCheck:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    log_lhs = gammaln(0.5) + gammaln(2.0 * n + 2.0)
-    log_rhs = gammaln(n + 1.5) + gammaln(n + 1.0)
+    log_lhs = math.lgamma(0.5) + math.lgamma(2.0 * n + 2.0)
+    log_rhs = math.lgamma(n + 1.5) + math.lgamma(n + 1.0)
     printed = abs(1.0 - math.exp(2.0 * n * math.log(2.0) + log_rhs - log_lhs))
     corrected = abs(1.0 - math.exp((2.0 * n + 1.0) * math.log(2.0) + log_rhs - log_lhs))
     return DuplicationCheck(printed, corrected)
@@ -293,8 +293,8 @@ def hyperspherical_Y(n: int, l: int, m: int, v) -> complex:
     sinchi = math.sqrt(max(0.0, 1.0 - coschi * coschi))
     norm = (
         2.0 ** (l + 1)
-        * math.exp(gammaln(l + 1.0) + 0.5 * (
-            math.log(n) + gammaln(n - l) - math.log(2.0 * math.pi) - gammaln(n + l + 1.0)
+        * math.exp(math.lgamma(l + 1.0) + 0.5 * (
+            math.log(n) + math.lgamma(n - l) - math.log(2.0 * math.pi) - math.lgamma(n + l + 1.0)
         ))
     )
     if sinchi == 0.0 and l > 0:

@@ -1,22 +1,27 @@
 """Deterministic quadrature engines and the seeded Monte Carlo integrator.
 
-Gauss-Legendre and Gauss-Hermite rules come from numpy, generalized
-Gauss-Laguerre from scipy; this module wraps them behind a small immutable
-rule type, adds the product rules used for angular and 3-sphere integrals,
-the radial Hankel transform that serves as the independent Fourier oracle,
-and a Welford-accumulated Gaussian Monte Carlo estimator.
+Gauss-Legendre and Gauss-Hermite rules come from numpy; generalized
+Gauss-Laguerre rules are built here by Golub-Welsch, with scipy's
+tridiagonal eigensolver imported only when the first one is built.  This
+module wraps them behind a small immutable rule type, adds the product
+rules used for angular and 3-sphere integrals, the radial Hankel transform
+that serves as the independent Fourier oracle, and a Welford-accumulated
+Gaussian Monte Carlo estimator.
+
+Legendre and Laguerre rules are cached per process (bounded LRU); sharing
+one instance between callers is safe because rules are frozen and their
+arrays read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from . import specfun
 
@@ -68,6 +73,7 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_legendre(npts: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact through degree 2*npts - 1."""
     if not 2 <= npts <= 4096:
@@ -76,6 +82,7 @@ def gauss_legendre(npts: int) -> QuadratureRule:
     return QuadratureRule("legendre", x, w, measure=2.0)
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf).
 
@@ -86,6 +93,8 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(f"node count must be in [2, 4096], got {npts}")
     if a <= -1.0:
         raise ValueError(f"Laguerre exponent must exceed -1, got {a}")
+    # deferred: importing scipy would dominate the start-up of short commands
+    from scipy.linalg import eigh_tridiagonal
     k = np.arange(npts, dtype=float)
     diag = 2.0 * k + a + 1.0
     off = np.sqrt(k[1:] * (k[1:] + a))
@@ -94,7 +103,7 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     # polynomials: w_i = 1 / sum_k q_k(x_i)^2.  Extreme nodes grow huge
     # kernel terms (their true weights underflow), so rescale per node and
     # carry the log of the scale.
-    mass = math.exp(gammaln(a + 1.0))
+    mass = math.exp(math.lgamma(a + 1.0))
     q_prev = np.zeros_like(nodes)
     q_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
     kernel = q_cur ** 2

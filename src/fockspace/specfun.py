@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "QuantumNumbers",
@@ -284,7 +283,7 @@ def _two_j(value, name: str) -> int:
 
 
 def _lnfact(n: int) -> float:
-    return float(gammaln(n + 1.0))
+    return math.lgamma(n + 1.0)
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:

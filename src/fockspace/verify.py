@@ -59,6 +59,18 @@ def _case(case_id: str, params: dict, lhs, rhs, tolerance: float,
     }
 
 
+def _worst(*values):
+    """The largest of ``values``, or NaN if any of them is NaN.
+
+    The builtin ``max(0.0, nan)`` is 0.0, which would report a NaN residual
+    as a pass; every worst-case reduction of a suite goes through here.
+    """
+    for value in values:
+        if math.isnan(value):
+            return value
+    return max(values)
+
+
 def _tol(overrides: dict, key: str, default: float) -> float:
     return float(overrides.get(key, default))
 
@@ -306,7 +318,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         lhs = (delta * (1 + z)) ** 2 + (1 - z) ** 2 * p2
         x = (p2 - delta ** 2) / (p2 + delta ** 2)
         rhs = (p2 + delta ** 2) * (1 - 2 * z * x + z ** 2)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
+        worst = _worst(worst, abs(lhs - rhs) / abs(lhs))
     tol = _tol(tols, "fock_argument_identity", 1e-12)
     cases.append(_case(
         "fock_argument_identity[random]", {"trials": 200}, worst, 0.0, tol, residual=worst,
@@ -383,7 +395,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         gm = hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pvec, delta)
         fd = -(gp - gm) / (2.0 * h)
         exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pvec, delta)
-        worst = max(worst, abs(fd - exact) / abs(exact))
+        worst = _worst(worst, abs(fd - exact) / abs(exact))
     tol = _tol(tols, "regulator_derivative_link", 1e-7)
     cases.append(_case(
         "regulator_derivative_link[random]", {"trials": 10}, worst, 0.0, tol, residual=worst,
@@ -439,10 +451,10 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
             math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th),
         ])
         base = quadmaps.ks_map(quadmaps.cayley_klein(r0, th, ph, 0.0))[0]
-        worst_rt = max(worst_rt, float(np.max(np.abs(base - target))) / r0)
+        worst_rt = _worst(worst_rt, float(np.max(np.abs(base - target))) / r0)
         for psi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
             img = quadmaps.ks_map(quadmaps.cayley_klein(r0, th, ph, psi))[0]
-            worst_fiber = max(worst_fiber, float(np.max(np.abs(img - base))) / r0)
+            worst_fiber = _worst(worst_fiber, float(np.max(np.abs(img - base))) / r0)
     cases.append(_case("cayley_klein_roundtrip[random]", {"trials": 25}, worst_rt, 0.0,
                        _tol(tols, "cayley_klein_roundtrip", 1e-13), residual=worst_rt))
     cases.append(_case("ks_fiber_invariance[psi-grid]", {"trials": 25, "psi_points": 32},
@@ -466,7 +478,7 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
             jac[:, k] = (fp - fm) / (2.0 * h)
         det = abs(np.linalg.det(jac))
         expect = 8.0 * float(u @ u)
-        worst = max(worst, abs(det - expect) / expect)
+        worst = _worst(worst, abs(det - expect) / expect)
     cases.append(_case("ks_jacobian[fd]", {"trials": 5}, worst, 0.0,
                        _tol(tols, "ks_jacobian", 1e-8), residual=worst))
 
@@ -544,9 +556,9 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         eye = np.eye(gam[0].shape[0])
         worst = 0.0
         for i, gi in enumerate(gam[:-1]):
-            worst = max(worst, float(np.max(np.abs(gi @ gi + eye))))
+            worst = _worst(worst, float(np.max(np.abs(gi @ gi + eye))))
             for gj in gam[i + 1:-1]:
-                worst = max(worst, float(np.max(np.abs(gi @ gj + gj @ gi))))
+                worst = _worst(worst, float(np.max(np.abs(gi @ gj + gj @ gi))))
         cases.append(_case(
             f"gamma_relations[n={n}]", {"n": n}, worst, 0.0,
             _tol(tols, "gamma_relations", 0.0), residual=worst,
@@ -642,14 +654,13 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
 
 def _s3_grid_eval(n, l, m, rule):
     """Vectorized hyperspherical harmonic on a product (chi, theta, phi) grid."""
-    from scipy.special import gammaln
-
     chi = rule.chi[:, None, None]
     theta = rule.sphere.theta[None, :, None]
     phi = rule.sphere.phi[None, None, :]
     norm = 2.0 ** (l + 1) * math.exp(
-        gammaln(l + 1.0)
-        + 0.5 * (math.log(n) + gammaln(n - l) - math.log(2.0 * math.pi) - gammaln(n + l + 1.0))
+        math.lgamma(l + 1.0)
+        + 0.5 * (math.log(n) + math.lgamma(n - l) - math.log(2.0 * math.pi)
+                 - math.lgamma(n + l + 1.0))
     )
     gg = specfun.gegenbauer(n - l - 1, l + 1.0, np.cos(chi))
     ylm = specfun.spherical_harmonic(l, m, theta, phi)
@@ -668,7 +679,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         worst = 0.0
         for t in (-0.5, -0.25, 0.25, 0.5):
             for x in np.linspace(-1.0, 1.0, 9):
-                worst = max(worst, identities.genfunc_gegenbauer(a, t, float(x)).residual)
+                worst = _worst(worst, identities.genfunc_gegenbauer(a, t, float(x)).residual)
         cases.append(_case(
             f"genfunc_gegenbauer[a={a}]", {"a": a, "t_max": 0.5}, worst, 0.0,
             _tol(tols, "genfunc_gegenbauer", 1e-10), residual=worst,
@@ -680,7 +691,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         for n in range(21):
             for x in np.linspace(-1.0, 1.0, 9):
                 scale = max(1.0, abs(specfun.gegenbauer(n + 1, a, float(x))))
-                worst = max(worst, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
+                worst = _worst(worst, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
         cases.append(_case(
             f"gegenbauer_recurrence[a={a}]", {"a": a, "n_max": 20}, worst, 0.0,
             _tol(tols, "gegenbauer_recurrence", 1e-10), residual=worst,
@@ -691,7 +702,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         worst = 0.0
         for z in (0.5, 2.0, 5.0):
             for chi in (0.3, 0.5 * math.pi, 2.5):
-                worst = max(worst, identities.bessel_genfunc(a, z, chi).residual)
+                worst = _worst(worst, identities.bessel_genfunc(a, z, chi).residual)
         cases.append(_case(
             f"bessel_genfunc[a={a}]", {"a": a, "z_max": 5.0}, worst, 0.0,
             _tol(tols, "bessel_genfunc", 1e-8), residual=worst,
@@ -708,7 +719,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             chis = np.linspace(0.2, math.pi - 0.2, 9)
             vals = [identities.integral_rep(l, alpha, float(c), quad_nodes).kappa for c in chis]
             target = 2.0 ** l * math.factorial(l)
-            spread = (max(vals) - min(vals)) / target
+            spread = (_worst(*vals) - min(vals)) / target
             cases.append(_case(
                 f"integral_rep_kappa_constancy[l={l},alpha={alpha}]",
                 {"l": l, "alpha": alpha}, spread, 0.0,
@@ -729,7 +740,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         rv *= math.sqrt(2.0) / np.linalg.norm(rv)
         rp = rng.normal(size=3)
         rp /= np.linalg.norm(rp)
-        worst = max(worst, identities.plane_wave_partial(rv, rp, 25).residual)
+        worst = _worst(worst, identities.plane_wave_partial(rv, rp, 25).residual)
     cases.append(_case("plane_wave[rrp=sqrt2,L=25]", {"L": 25}, worst, 0.0,
                        _tol(tols, "plane_wave", 1e-10), residual=worst))
     rv = np.array([5.0, 0.0, 0.0])
@@ -749,7 +760,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             f"duplication_printed_factor2[n={n}]", {"n": n},
             chk.printed, 0.5, _tol(tols, "duplication_printed", 1e-12),
         ))
-    worst = max(identities.duplication_check(n).corrected for n in range(11))
+    worst = _worst(*(identities.duplication_check(n).corrected for n in range(11)))
     cases.append(_case("duplication_corrected[n<=10]", {"n_max": 10}, worst, 0.0,
                        _tol(tols, "duplication_corrected", 1e-13), residual=worst))
     disc["duplication-formula-power"]["measured"] = {
@@ -771,7 +782,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         for j2, fj in enumerate(fields):
             val = complex(np.sum(w3d * np.conj(fi) * fj))
             want = 1.0 if i == j2 else 0.0
-            worst = max(worst, abs(val - want))
+            worst = _worst(worst, abs(val - want))
     cases.append(_case("hyperspherical_orthonormality[n<=3]",
                        {"states": len(states)}, worst, 0.0,
                        _tol(tols, "hyperspherical_orthonormality", 1e-9), residual=worst))
@@ -795,7 +806,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                     + identities.hyperspherical_Y(n, l, m, vm) - 2.0 * center
                 )
             lap /= h * h
-            worst = max(worst, abs(lap))
+            worst = _worst(worst, abs(lap))
     cases.append(_case("hyperspherical_harmonicity[fd]", {"h": h}, worst, 0.0,
                        _tol(tols, "hyperspherical_harmonicity", 1e-4), residual=worst))
     disc["hyperspherical-radial-exponent"]["measured"] = {
@@ -814,9 +825,9 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                     for m in range(-l, l + 1):
                         chk = identities.triple_D_integral(n, m1, m2, l, m)
                         if m1 + m2 + m == 0:
-                            worst = max(worst, chk.residual)
+                            worst = _worst(worst, chk.residual)
                         else:
-                            worst_sel = max(worst_sel, chk.residual)
+                            worst_sel = _worst(worst_sel, chk.residual)
             cases.append(_case(
                 f"triple_D[n={n},l={l}]", {"n": n, "l": l}, worst, 0.0,
                 _tol(tols, "triple_D", 1e-9), residual=worst,
@@ -837,7 +848,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                     th = rng.uniform(0.25, math.pi - 0.25)
                     ph = rng.uniform(0.0, 2.0 * math.pi)
                     chk = identities.passage_residual(n, l, m, chi, th, ph, phase=phase)
-                    worst = max(worst, chk.residual)
+                    worst = _worst(worst, chk.residual)
             cases.append(_case(
                 f"passage[n={n},l={l}]", {"n": n, "l": l, "phase": phase}, worst, 0.0,
                 _tol(tols, "passage", 1e-8), residual=worst,

@@ -106,6 +106,27 @@ def test_table_bad_grid_exit_code():
     assert proc.returncode == 2
 
 
+def test_eval_rejects_non_finite_point():
+    for point in (("nan", "0", "0"), ("0", "inf", "0")):
+        proc = run_cli("eval", "momentum", "--n", "1", "--l", "0", "--m", "0",
+                       "--point", *point)
+        assert proc.returncode == 2
+        assert "--point" in proc.stderr and not proc.stdout
+    # a finite point whose value overflows is refused too, not printed as nan
+    proc = run_cli("eval", "position", "--n", "2", "--l", "1", "--m", "0",
+                   "--point", "1e200", "0", "0")
+    assert proc.returncode == 2 and not proc.stdout
+
+
+def test_table_rejects_non_finite_values():
+    proc = run_cli("table", "fock", "--delta", "1", "--grid-p", "0", "1e308", "3")
+    assert proc.returncode == 2
+    assert "overflows" in proc.stderr and not proc.stdout
+    proc = run_cli("table", "radial", "--n", "1", "--l", "0", "--grid", "0", "1", "nan")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_table_missing_params_exit_code():
     proc = run_cli("table", "radial", "--grid", "0", "1", "10")
     assert proc.returncode == 2
@@ -145,6 +166,13 @@ def test_verify_bad_tol_exits_2():
     assert proc.returncode == 2
 
 
+def test_verify_nodes_out_of_range_exits_2():
+    for nodes in ("0", "1", "4097"):
+        proc = run_cli("verify", "hydrogen", "--nodes", nodes)
+        assert proc.returncode == 2
+        assert "--nodes" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_deterministic_modulo_elapsed():
     a = json.loads(run_cli("verify", "maps", "--seed", "5").stdout)
     b = json.loads(run_cli("verify", "maps", "--seed", "5").stdout)
@@ -160,6 +188,8 @@ def test_clifford_det_alias_runs_subset():
     assert report["suite"] == "clifford-det"
     assert len(report["cases"]) == 1000
     assert all(c["id"].startswith("det_identity") for c in report["cases"])
+    # measured, not a placeholder: 1000 determinants take well over 1 ms
+    assert isinstance(report["elapsed_ms"], int) and report["elapsed_ms"] > 0
 
 
 def test_verify_csv_format():
@@ -197,3 +227,14 @@ def test_report_roundtrip_and_counts():
     data = json.loads(report.to_json())
     assert data["passed"] + data["failed"] == len(data["cases"])
     assert data["passed"] == report.passed
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported when the first Laguerre rule is built, not at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fockspace.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

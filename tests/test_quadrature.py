@@ -61,6 +61,17 @@ def test_chebyshev_second_kind():
     assert rule.integrate(lambda t: t ** 2) == pytest.approx(math.pi / 8, rel=1e-12)
 
 
+def test_rules_are_cached_with_a_bound():
+    assert qr.gauss_legendre(64) is qr.gauss_legendre(64)
+    assert qr.gauss_laguerre(40, 2.0) is qr.gauss_laguerre(40, 2.0)
+    # rules that never repeat (a convergence ladder) must not grow the cache
+    assert qr.gauss_legendre.cache_info().maxsize is not None
+    assert qr.gauss_laguerre.cache_info().maxsize is not None
+    # the shared instance cannot be modified by one of its callers
+    with pytest.raises(ValueError):
+        qr.gauss_legendre(64).nodes[0] = 0.0
+
+
 def test_rule_size_validation():
     with pytest.raises(ValueError):
         qr.gauss_legendre(1)

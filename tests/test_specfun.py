@@ -47,6 +47,16 @@ def gegenbauer_series(m, a, x):
     return total, magnitude
 
 
+def test_lgamma_matches_scipy_gammaln_on_half_integers():
+    # the library's log-gamma calls take integers and half-integers (verify
+    # all uses 0.5 .. 65) and exponentiate the result, so an absolute error
+    # in the log is the relative error of the value; near the zeros at 1 and
+    # 2 the log itself carries no relative accuracy, hence max(1, |.|)
+    for x in (0.5 * k for k in range(1, 401)):
+        want = gammaln(x)
+        assert abs(math.lgamma(x) - want) <= 1e-15 * max(1.0, abs(want)), x
+
+
 # ---------------------------------------------------------------------------
 # Laguerre
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The suite runner: all suites green, threading cap honored, report sane."""
 
 import json
+import math
 
 import pytest
 
-from fockspace import verify
+from fockspace import identities, verify
 
 
 @pytest.mark.parametrize("name", ["hydrogen", "maps", "clifford", "identities"])
@@ -63,3 +64,22 @@ def test_discrepancy_registry_measured_fields_filled():
     assert by_id["momentum-phase-il"]["measured"]["pattern"] == "(-1)^l"
     assert by_id["duplication-formula-power"]["measured"]["printed_residual_at_n1"] == pytest.approx(0.5)
     assert "kappa" in by_id["integral-representation-prefactor"]["measured"]
+
+
+def test_nan_residual_fails_its_case(monkeypatch):
+    genuine = identities.genfunc_gegenbauer
+
+    def nan_at_a1(a, t, x):
+        check = genuine(a, t, x)
+        return check._replace(residual=math.nan) if a == 1.0 and x > 0.0 else check
+
+    monkeypatch.setattr(identities, "genfunc_gegenbauer", nan_at_a1)
+    cases, _ = verify.suite_identities(seed=42)
+    verdict = {c["id"]: c["passed"] for c in cases if c["id"].startswith("genfunc_gegenbauer")}
+    assert verdict == {
+        "genfunc_gegenbauer[a=0.5]": True,
+        "genfunc_gegenbauer[a=1.0]": False,
+        "genfunc_gegenbauer[a=1.5]": True,
+        "genfunc_gegenbauer[a=2.0]": True,
+        "genfunc_gegenbauer[a=3.0]": True,
+    }
