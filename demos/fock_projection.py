@@ -34,12 +34,11 @@ print(f"  1/(sqrt(2) pi)           : {1.0 / (np.sqrt(2.0) * np.pi):.12f}\n")
 
 print("Orthonormality of the first shells (Gram deviation from identity):")
 from fockspace import quadrature
-from fockspace.verify import _s3_grid_eval
 
 rule = quadrature.s3_rule(20, 20, 21)
 states = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
 w = (rule.chi_weights[:, None, None]
      * rule.sphere.theta_weights[None, :, None] * rule.sphere.phi_weight)
-fields = [_s3_grid_eval(n, l, m, rule) for (n, l, m) in states]
+fields = [identities.hyperspherical_on_s3(n, l, m, rule) for (n, l, m) in states]
 gram = np.array([[np.sum(w * np.conj(a) * b) for b in fields] for a in fields])
 print(f"  {len(states)} states, max |Gram - I| = {np.max(np.abs(gram - np.eye(len(states)))):.2e}")

@@ -81,7 +81,10 @@ def _parse_tols(pairs, parser) -> dict:
             tols[key] = float(val)
         except ValueError:
             parser.error(f"--tol value for {key!r} is not a number: {val!r}")
-    return tols
+    try:
+        return verify.validate_tolerances(tols)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _quantum_numbers(args, parser) -> specfun.QuantumNumbers:

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import quadrature
 from .errors import IntegrabilityError, SingularityError
 from .specfun import gegenbauer
 
@@ -212,35 +213,19 @@ def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
         raise ValueError(f"need at least 10^4 samples, got {samples}")
     closed = bargmann_closed(n, x, alpha)
     size = a.entries.shape[0]
-    rng = np.random.Generator(np.random.Philox(seed))
-    sigma = math.sqrt(0.5)
 
-    count = 0
-    mean = 0.0 + 0.0j
-    m2 = 0.0  # accumulated squared deviation of |value - mean|
-    remaining = samples
-    while remaining > 0:
-        take = min(chunk, remaining)
+    def integrand(u):
         if n == 1:
-            u = rng.normal(0.0, sigma, size=(take, 2))
-            z = u  # real integration variables
-            quad = np.einsum("ki,ij,kj->k", z, a.entries, z)
+            quad = np.einsum("ki,ij,kj->k", u, a.entries, u)  # real variables
         else:
-            re = rng.normal(0.0, sigma, size=(take, size))
-            im = rng.normal(0.0, sigma, size=(take, size))
+            # one draw of 2*size normals per sample: real parts, then imaginary
+            re, im = u.reshape(2, len(u), size)
             z = re + 1j * im
             quad = np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z)
-        vals = np.exp(alpha * quad)
-        bmean = complex(np.mean(vals))
-        bm2 = float(np.sum(np.abs(vals - bmean) ** 2))
-        delta = bmean - mean
-        tot = count + take
-        m2 = m2 + bm2 + abs(delta) ** 2 * count * take / tot
-        mean = mean + delta * take / tot
-        count = tot
-        remaining -= take
-    var = m2 / (count - 1) if count > 1 else 0.0
-    stderr = math.sqrt(var / count)
+        return np.exp(alpha * quad)
+
+    dim = 2 if n == 1 else 2 * size
+    mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed, chunk)
     return GaussianResult(mean, closed, abs(mean - closed), "monte_carlo", stderr)
 
 

@@ -31,10 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .specfun import MonomialPair, QuantumNumbers, gegenbauer, laguerre, spherical_harmonic
+from .specfun import (
+    MonomialPair,
+    QuantumNumbers,
+    gegenbauer,
+    laguerre,
+    spherical_angles,
+    spherical_harmonic,
+)
 
 __all__ = [
-    "BoundState",
     "FockPoint",
     "GenFuncParams",
     "normalization",
@@ -57,21 +63,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundState:
-    """A bound state plus its derived scales delta = 1/n, omega = 2/n."""
-
-    qn: QuantumNumbers
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.qn.n
-
-    @property
-    def omega(self) -> float:
-        return 2.0 / self.qn.n
-
 
 @dataclass(frozen=True)
 class FockPoint:
@@ -138,19 +129,9 @@ def radial_position(n: int, l: int, r):
     return val if val.ndim else float(val)
 
 
-def _angles(vec):
-    vec = np.asarray(vec, dtype=float)
-    r = float(np.linalg.norm(vec))
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = math.acos(min(1.0, max(-1.0, vec[2] / r)))
-    phi = math.atan2(vec[1], vec[0])
-    return r, theta, phi
-
-
 def psi_position(qn: QuantumNumbers, rvec) -> complex:
     """Position-space wavefunction psi_nlm at a cartesian point (bohr)."""
-    r, theta, phi = _angles(rvec)
+    r, theta, phi = spherical_angles(rvec)
     if r == 0.0:
         if qn.l > 0:
             return 0.0 + 0.0j
@@ -183,7 +164,7 @@ def radial_momentum(n: int, l: int, p):
 
 def psi_momentum(qn: QuantumNumbers, pvec) -> complex:
     """Momentum-space wavefunction psi~_nlm at a cartesian momentum point."""
-    p, theta, phi = _angles(pvec)
+    p, theta, phi = spherical_angles(pvec)
     if p == 0.0:
         if qn.l > 0:
             return 0.0 + 0.0j
@@ -284,25 +265,26 @@ def _genfunc_position_raw(z, alpha, xi, eta, rvec, delta):
     )
 
 
-def _genfunc_momentum_regulated_raw(z, alpha, xi, eta, beta, pvec, delta):
+def _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta):
+    # (delta(1+z) + beta(1-z))^2 + (1-z)^2 p^2 + 2i alpha delta z (a.p);
+    # beta = 0 gives the denominator of the unregulated momentum side
     pvec = np.asarray(pvec, dtype=float)
-    p2 = float(pvec @ pvec)
-    adotp = _null_dot(xi, eta, pvec)
     z = np.asarray(z)
-    denom = (
+    return (
         (delta * (1.0 + z) + beta * (1.0 - z)) ** 2
-        + (1.0 - z) ** 2 * p2
-        + 2j * alpha * delta * z * adotp
+        + (1.0 - z) ** 2 * float(pvec @ pvec)
+        + 2j * alpha * delta * z * _null_dot(xi, eta, pvec)
     )
-    return (2.0 / _SQRT2PI) * z / denom
+
+
+def _genfunc_momentum_regulated_raw(z, alpha, xi, eta, beta, pvec, delta):
+    denom = _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta)
+    return (2.0 / _SQRT2PI) * np.asarray(z) / denom
 
 
 def _genfunc_momentum_raw(z, alpha, xi, eta, pvec, delta):
-    pvec = np.asarray(pvec, dtype=float)
-    p2 = float(pvec @ pvec)
-    adotp = _null_dot(xi, eta, pvec)
     z = np.asarray(z)
-    denom = (delta * (1.0 + z)) ** 2 + (1.0 - z) ** 2 * p2 + 2j * alpha * delta * z * adotp
+    denom = _momentum_denominator(z, alpha, xi, eta, 0.0, pvec, delta)
     return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2
 
 
@@ -325,11 +307,8 @@ def genfunc_position(params: GenFuncParams, rvec, delta: float = 1.0):
 def genfunc_momentum_regulated(params: GenFuncParams, pvec, delta: float = 1.0):
     """Regulated momentum-side generating function (regulator beta >= 0)."""
     pvec = np.asarray(pvec, dtype=float)
-    denom = (
-        (delta * (1.0 + np.asarray(params.z)) + params.beta * (1.0 - np.asarray(params.z))) ** 2
-        + (1.0 - np.asarray(params.z)) ** 2 * float(pvec @ pvec)
-        + 2j * params.alpha * delta * np.asarray(params.z)
-        * _null_dot(params.pair.xi, params.pair.eta, pvec)
+    denom = _momentum_denominator(
+        params.z, params.alpha, params.pair.xi, params.pair.eta, params.beta, pvec, delta
     )
     _check_denominator(denom, delta ** 2 + float(pvec @ pvec))
     return (2.0 / _SQRT2PI) * np.asarray(params.z) / denom
@@ -340,10 +319,8 @@ def genfunc_momentum(params: GenFuncParams, pvec, delta: float = 1.0):
     regulated one)."""
     pvec = np.asarray(pvec, dtype=float)
     z = np.asarray(params.z)
-    denom = (
-        (delta * (1.0 + z)) ** 2
-        + (1.0 - z) ** 2 * float(pvec @ pvec)
-        + 2j * params.alpha * delta * z * _null_dot(params.pair.xi, params.pair.eta, pvec)
+    denom = _momentum_denominator(
+        z, params.alpha, params.pair.xi, params.pair.eta, 0.0, pvec, delta
     )
     _check_denominator(denom, delta ** 2 + float(pvec @ pvec))
     return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2

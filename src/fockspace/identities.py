@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from . import quadrature
 from .errors import IntegrabilityError
 from .specfun import (
     gegenbauer,
+    spherical_angles,
     spherical_bessel,
     spherical_harmonic,
     wigner_3j,
@@ -33,13 +33,14 @@ from .specfun import (
 )
 
 __all__ = [
-    "IdentityCase",
     "genfunc_gegenbauer",
     "bessel_genfunc",
     "gegenbauer_recurrence",
     "integral_rep",
     "plane_wave_partial",
     "duplication_check",
+    "hyperspherical_harmonic",
+    "hyperspherical_on_s3",
     "hyperspherical_Y",
     "triple_D_integral",
     "passage_residual",
@@ -47,24 +48,6 @@ __all__ = [
     "point_on_s3",
     "su2_of_point",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityCase:
-    """One identity evaluation: both sides, the residual, and a verdict."""
-
-    id: str
-    params: dict
-    lhs: complex
-    rhs: complex
-    tolerance: float
-    residual: float = field(init=False)
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        resid = abs(self.lhs - self.rhs) / max(1.0, abs(self.lhs))
-        object.__setattr__(self, "residual", resid)
-        object.__setattr__(self, "passed", resid <= self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +190,8 @@ def plane_wave_partial(rvec, rpvec, L: int) -> PlaneWaveCheck:
     if r == 0.0 or rp == 0.0:
         # only the monopole survives: j_0(0) Y_00 conj(Y_00) 4 pi = 1
         return PlaneWaveCheck(exact, 1.0 + 0.0j, abs(exact - 1.0))
-    th, ph = _direction_angles(rvec)
-    thp, php = _direction_angles(rpvec)
+    _, th, ph = spherical_angles(rvec)
+    _, thp, php = spherical_angles(rpvec)
     partial = 0.0 + 0.0j
     for l in range(L + 1):
         jl = spherical_bessel(l, r * rp)
@@ -247,16 +230,6 @@ def duplication_check(n: int) -> DuplicationCheck:
 # hyperspherical harmonics and the passage to D-matrices
 # ---------------------------------------------------------------------------
 
-def _direction_angles(vec):
-    vec = np.asarray(vec, dtype=float)
-    r = float(np.linalg.norm(vec))
-    if r == 0.0:
-        return 0.0, 0.0
-    theta = math.acos(min(1.0, max(-1.0, vec[2] / r)))
-    phi = math.atan2(vec[1], vec[0])
-    return theta, phi
-
-
 def point_on_s3(chi: float, theta: float, phi: float) -> np.ndarray:
     """Unit 4-vector (x, y, z, q) with polar angle chi and 2-sphere angles."""
     s = math.sin(chi)
@@ -274,40 +247,65 @@ def su2_of_point(v) -> np.ndarray:
     return np.array([[q + 1j * z, x + 1j * y], [-x + 1j * y, q - 1j * z]])
 
 
-def hyperspherical_Y(n: int, l: int, m: int, v) -> complex:
-    """4-D spherical harmonic Y_nlm, orthonormal on the unit 3-sphere.
-
-    On the sphere: 2^(l+1) l! sqrt(n (n-l-1)!/(2 pi (n+l)!)) sin^l(chi)
-    C_(n-l-1)^(l+1)(cos chi) Y_lm(theta, phi).  Off the sphere the value is
-    extended homogeneously with degree n-1, which keeps it harmonic in R^4.
-    """
+def _check_hyperspherical_labels(n: int, l: int, m: int):
     if n < 1 or l < 0 or n < l + 1:
         raise ValueError(f"need n >= l+1 >= 1, got (n, l) = ({n}, {l})")
     if abs(m) > l:
         raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-    v = np.asarray(v, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        raise ValueError("hyperspherical harmonics are undefined at the origin")
-    coschi = min(1.0, max(-1.0, v[3] / vnorm))
-    sinchi = math.sqrt(max(0.0, 1.0 - coschi * coschi))
+
+
+def hyperspherical_harmonic(n: int, l: int, m: int, coschi, sinchi, theta, phi,
+                            radial=1.0):
+    """4-D spherical harmonic Y_nlm from its angles; arrays broadcast together.
+
+    radial * 2^(l+1) l! sqrt(n (n-l-1)!/(2 pi (n+l)!)) sin^l(chi)
+    C_(n-l-1)^(l+1)(cos chi) Y_lm(theta, phi), orthonormal on the unit
+    3-sphere when ``radial`` is 1.
+    """
+    _check_hyperspherical_labels(n, l, m)
     norm = (
         2.0 ** (l + 1)
         * math.exp(math.lgamma(l + 1.0) + 0.5 * (
             math.log(n) + math.lgamma(n - l) - math.log(2.0 * math.pi) - math.lgamma(n + l + 1.0)
         ))
     )
-    if sinchi == 0.0 and l > 0:
-        return 0.0 + 0.0j
-    theta, phi = _direction_angles(v[:3]) if sinchi > 0.0 else (0.0, 0.0)
-    val = (
-        vnorm ** (n - 1)
+    return (
+        radial
         * norm
         * sinchi ** l
         * gegenbauer(n - l - 1, l + 1.0, coschi)
         * spherical_harmonic(l, m, theta, phi)
     )
-    return complex(val)
+
+
+def hyperspherical_on_s3(n: int, l: int, m: int, rule: quadrature.S3Rule) -> np.ndarray:
+    """Y_nlm on the (chi, theta, phi) product grid of ``quadrature.s3_rule``."""
+    chi = rule.chi[:, None, None]
+    theta = rule.sphere.theta[None, :, None]
+    phi = rule.sphere.phi[None, None, :]
+    return hyperspherical_harmonic(n, l, m, np.cos(chi), np.sin(chi), theta, phi)
+
+
+def hyperspherical_Y(n: int, l: int, m: int, v) -> complex:
+    """4-D spherical harmonic Y_nlm at a point v of R^4.
+
+    On the unit 3-sphere this is ``hyperspherical_harmonic`` at the angles of
+    v.  Off the sphere the value is extended homogeneously with degree n-1,
+    which keeps it harmonic in R^4.
+    """
+    _check_hyperspherical_labels(n, l, m)
+    v = np.asarray(v, dtype=float)
+    vnorm = float(np.linalg.norm(v))
+    if vnorm == 0.0:
+        raise ValueError("hyperspherical harmonics are undefined at the origin")
+    coschi = min(1.0, max(-1.0, v[3] / vnorm))
+    sinchi = math.sqrt(max(0.0, 1.0 - coschi * coschi))
+    if sinchi == 0.0 and l > 0:
+        return 0.0 + 0.0j
+    _, theta, phi = spherical_angles(v[:3]) if sinchi > 0.0 else (0.0, 0.0, 0.0)
+    return complex(hyperspherical_harmonic(
+        n, l, m, coschi, sinchi, theta, phi, radial=vnorm ** (n - 1)
+    ))
 
 
 class TripleDCheck(NamedTuple):

@@ -13,7 +13,6 @@ seeded Monte Carlo under the Gaussian measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from . import quadrature
 
 __all__ = [
-    "CoordinateTuple",
     "levi_civita",
     "ks_map",
     "cayley_klein",
@@ -30,24 +28,6 @@ __all__ = [
     "ks_integral",
     "KSIntegralResult",
 ]
-
-_VALID_LENGTHS = (2, 3, 4, 5, 8)
-
-
-@dataclass(frozen=True)
-class CoordinateTuple:
-    """Real coordinate tuple tagged with its role (map domain or image)."""
-
-    components: tuple
-    role: str = "domain"
-
-    def __post_init__(self):
-        if len(self.components) not in _VALID_LENGTHS:
-            raise ValueError(
-                f"coordinate tuples have length in {_VALID_LENGTHS}, got {len(self.components)}"
-            )
-        if self.role not in ("domain", "image"):
-            raise ValueError(f"role must be 'domain' or 'image', got {self.role!r}")
 
 
 def levi_civita(u):

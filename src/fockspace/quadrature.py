@@ -6,7 +6,8 @@ tridiagonal eigensolver imported only when the first one is built.  This
 module wraps them behind a small immutable rule type, adds the product
 rules used for angular and 3-sphere integrals, the radial Hankel transform
 that serves as the independent Fourier oracle, and a Welford-accumulated
-Gaussian Monte Carlo estimator.
+Gaussian Monte Carlo estimator.  The estimator takes real or complex
+integrands; it is the one ``clifford.gaussian_mc`` uses.
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
@@ -219,9 +220,12 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42,
     Samples are standard normals with variance 1/2 per component (the
     probability density pi^(-dim/2) e^{-|u|^2}).  Uses the counter-based
     Philox generator, so results are bit-reproducible for a fixed
-    (seed, samples) pair, and a chunked Welford accumulation for the error.
+    (seed, samples, chunk), and a chunked Welford accumulation for the error.
+    Integrand values may be real or complex; for complex values the error
+    comes from the spread of |value - mean|.
 
-    Returns (estimate, stderr).
+    Returns (estimate, stderr): the estimate is a float for real values and
+    a complex for complex ones.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -235,15 +239,15 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42,
     while remaining > 0:
         take = min(chunk, remaining)
         u = rng.normal(0.0, math.sqrt(0.5), size=(take, dim))
-        vals = np.asarray(integrand(u), dtype=float)
+        vals = np.asarray(integrand(u))
         if vals.shape != (take,):
             raise ValueError("integrand must map (k, dim) samples to (k,) values")
-        bmean = float(np.mean(vals))
-        bm2 = float(np.sum((vals - bmean) ** 2))
+        bmean = np.mean(vals).item()
+        bm2 = float(np.sum(np.abs(vals - bmean) ** 2))
         # Chan et al. pairwise merge of (count, mean, m2) aggregates
         delta = bmean - mean
         tot = count + take
-        m2 = m2 + bm2 + delta * delta * count * take / tot
+        m2 = m2 + bm2 + abs(delta) ** 2 * count * take / tot
         mean = mean + delta * take / tot
         count = tot
         remaining -= take

@@ -41,6 +41,7 @@ __all__ = [
     "wigner_D_su2",
     "euler_su2",
     "monomial_pair",
+    "spherical_angles",
 ]
 
 _SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -74,9 +75,6 @@ class MonomialPair:
     xi: complex
     eta: complex
 
-    def null_vector(self) -> "NullVector":
-        return NullVector.from_pair(self)
-
 
 @dataclass(frozen=True)
 class NullVector:
@@ -99,10 +97,6 @@ class NullVector:
     def from_pair(cls, pair: MonomialPair) -> "NullVector":
         xi, eta = complex(pair.xi), complex(pair.eta)
         return cls(-xi ** 2 + eta ** 2, -1j * (xi ** 2 + eta ** 2), 2.0 * xi * eta)
-
-    def dot(self, vec) -> complex:
-        x, y, z = vec
-        return self.a1 * x + self.a2 * y + self.a3 * z
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +152,21 @@ def gegenbauer(m: int, a: float, x):
 # ---------------------------------------------------------------------------
 # spherical harmonics and Bessel functions
 # ---------------------------------------------------------------------------
+
+def spherical_angles(vec) -> tuple:
+    """Spherical coordinates (r, theta, phi) of a cartesian 3-vector.
+
+    theta is the polar angle from the z axis and phi the azimuth in
+    (-pi, pi]; the origin gives (0.0, 0.0, 0.0).
+    """
+    vec = np.asarray(vec, dtype=float)
+    r = float(np.linalg.norm(vec))
+    if r == 0.0:
+        return 0.0, 0.0, 0.0
+    theta = math.acos(min(1.0, max(-1.0, vec[2] / r)))
+    phi = math.atan2(vec[1], vec[0])
+    return r, theta, phi
+
 
 def _legendre_normalized(l: int, m: int, costheta, sintheta):
     """Fully normalized associated Legendre P-tilde_l^m for m >= 0.

@@ -24,9 +24,62 @@ import numpy as np
 
 from . import clifford, hydrogen, identities, quadmaps, quadrature, specfun
 
-__all__ = ["VerificationReport", "run_verify", "SUITES", "discrepancy_registry"]
+__all__ = [
+    "VerificationReport", "run_verify", "SUITES", "TOLERANCES", "validate_tolerances",
+    "discrepancy_registry",
+]
 
 DEFAULT_SEED = 42
+
+# Default tolerance of every check family; ``--tol key=value`` overrides one.
+TOLERANCES = {
+    # hydrogen suite
+    "ground_momentum_amplitude": 1e-8,
+    "fourier_modulus": 1e-6,
+    "fourier_phase_constancy": 1e-6,
+    "fourier_phase_value": 1e-6,
+    "gram_position": 1e-8,
+    "momentum_norm": 1e-6,
+    "fock_argument_identity": 1e-12,
+    "node_count": 0.0,
+    "extraction_position": 1e-6,
+    "extraction_momentum": 1e-6,
+    "extraction_momentum_phase": 1e-6,
+    "regulator_derivative_link": 1e-7,
+    # maps suite
+    "levi_civita_norm": 1e-13,
+    "ks_norm": 1e-12,
+    "hurwitz_norm": 1e-12,
+    "cayley_klein_roundtrip": 1e-13,
+    "ks_fiber_invariance": 1e-13,
+    "ks_jacobian": 1e-8,
+    "ks_integral": 5e-3,
+    "ks_integral_mc": 1e-2,
+    # clifford suite
+    "det_identity": 1e-9,
+    "gamma_relations": 0.0,
+    "linearity": 0.0,
+    "normality": 1e-12,
+    "level2_entrywise": 0.0,
+    "gegenbauer_series": 1e-10,
+    # identities suite
+    "genfunc_gegenbauer": 1e-10,
+    "gegenbauer_recurrence": 1e-10,
+    "bessel_genfunc": 1e-8,
+    "integral_rep_l0": 1e-12,
+    "integral_rep_constancy": 1e-7,
+    "integral_rep_value": 1e-7,
+    "plane_wave": 1e-10,
+    "plane_wave_tail": 0.0,
+    "duplication_printed": 1e-12,
+    "duplication_corrected": 1e-13,
+    "hyperspherical_orthonormality": 1e-9,
+    "hyperspherical_harmonicity": 1e-4,
+    "triple_D": 1e-9,
+    "triple_D_selection": 1e-12,
+    "passage": 1e-8,
+    "passage_phase": 1e-10,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +124,24 @@ def _worst(*values):
     return max(values)
 
 
-def _tol(overrides: dict, key: str, default: float) -> float:
-    return float(overrides.get(key, default))
+def validate_tolerances(overrides: dict | None) -> dict:
+    """The tolerance overrides, after checking every key against TOLERANCES.
+
+    Raises ValueError naming the unknown keys, so a mistyped override can
+    never be silently ignored.
+    """
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(TOLERANCES))
+    if unknown:
+        raise ValueError(
+            f"unknown tolerance key(s) {', '.join(unknown)}; "
+            f"known keys: {', '.join(sorted(TOLERANCES))}"
+        )
+    return overrides
+
+
+def _tol(overrides: dict, key: str) -> float:
+    return float(overrides.get(key, TOLERANCES[key]))
 
 
 @dataclass
@@ -234,7 +303,7 @@ def discrepancy_registry() -> dict:
 
 def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
                    nodes: int | None = None) -> tuple:
-    tols = tols or {}
+    tols = validate_tolerances(tols)
     cases = []
     disc = discrepancy_registry()
     hankel_nodes = nodes or 300
@@ -245,7 +314,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
     closed0 = abs(hydrogen.psi_momentum(specfun.QuantumNumbers(1, 0, 0), (0.0, 0.0, 0.0)))
     y00 = 1.0 / math.sqrt(4.0 * math.pi)
     oracle0 = abs(quadrature.radial_hankel(1, 0, 0.0, npts=hankel_nodes)) * y00
-    tol = _tol(tols, "ground_momentum_amplitude", 1e-8)
+    tol = _tol(tols, "ground_momentum_amplitude")
     cases.append(_case("ground_momentum_amplitude[closed]", {"n": 1}, closed0, target, tol))
     cases.append(_case("ground_momentum_amplitude[hankel]", {"n": 1}, oracle0, target, tol))
     cases.append(_case("ground_momentum_amplitude[cross]", {"n": 1}, closed0, oracle0, tol))
@@ -261,7 +330,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             mod_resid = float(np.max(
                 np.abs(np.abs(f_hankel) - np.abs(f_closed)) / np.abs(f_closed)
             ))
-            tol = _tol(tols, "fourier_modulus", 1e-6)
+            tol = _tol(tols, "fourier_modulus")
             cases.append(_case(
                 f"fourier_modulus[n={n},l={l}]", {"n": n, "l": l},
                 mod_resid, 0.0, tol, residual=mod_resid,
@@ -270,13 +339,13 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             unit = complex(np.mean(ratio))
             spread = float(np.max(np.abs(ratio - unit)))
             phase_units[f"(n={n},l={l})"] = _jsonify(unit)
-            tol = _tol(tols, "fourier_phase_constancy", 1e-6)
+            tol = _tol(tols, "fourier_phase_constancy")
             cases.append(_case(
                 f"fourier_phase_constancy[n={n},l={l}]",
                 {"n": n, "l": l, "phase_unit": unit},
                 spread, 0.0, tol, residual=spread,
             ))
-            tol = _tol(tols, "fourier_phase_value", 1e-6)
+            tol = _tol(tols, "fourier_phase_value")
             cases.append(_case(
                 f"fourier_phase_value[n={n},l={l}]", {"n": n, "l": l},
                 unit, (-1.0 + 0.0j) ** l, tol,
@@ -294,7 +363,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             for n1 in ns
         ])
         resid = float(np.max(np.abs(gram - np.eye(len(ns)))))
-        tol = _tol(tols, "gram_position", 1e-8)
+        tol = _tol(tols, "gram_position")
         cases.append(_case(
             f"gram_position[l={l}]", {"l": l, "n_max": 6}, resid, 0.0, tol, residual=resid,
         ))
@@ -303,7 +372,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
     for n in range(1, 6):
         for l in range(n):
             norm = hydrogen.momentum_norm(n, l, npts=overlap_nodes)
-            tol = _tol(tols, "momentum_norm", 1e-6)
+            tol = _tol(tols, "momentum_norm")
             cases.append(_case(
                 f"momentum_norm[n={n},l={l}]", {"n": n, "l": l}, norm, 1.0, tol,
             ))
@@ -319,7 +388,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         x = (p2 - delta ** 2) / (p2 + delta ** 2)
         rhs = (p2 + delta ** 2) * (1 - 2 * z * x + z ** 2)
         worst = _worst(worst, abs(lhs - rhs) / abs(lhs))
-    tol = _tol(tols, "fock_argument_identity", 1e-12)
+    tol = _tol(tols, "fock_argument_identity")
     cases.append(_case(
         "fock_argument_identity[random]", {"trials": 200}, worst, 0.0, tol, residual=worst,
     ))
@@ -332,7 +401,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             signs = np.sign(vals)
             signs = signs[signs != 0]
             changes = int(np.sum(signs[1:] != signs[:-1]))
-            tol = _tol(tols, "node_count", 0.0)
+            tol = _tol(tols, "node_count")
             cases.append(_case(
                 f"node_count[n={n},l={l}]", {"n": n, "l": l},
                 changes, n - l - 1, tol, residual=abs(changes - (n - l - 1)),
@@ -351,7 +420,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         got = np.array([coeff(pt) / scale for pt in pts_pos])
         want = np.array([hydrogen.psi_position(qn, pt) for pt in pts_pos])
         resid = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        tol = _tol(tols, "extraction_position", 1e-6)
+        tol = _tol(tols, "extraction_position")
         cases.append(_case(
             f"extraction_position[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
             resid, 0.0, tol, residual=resid,
@@ -364,13 +433,13 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         unit = complex(np.mean(got[big] / want[big]))
         extraction_ratios[f"(n={n},l={l})"] = _jsonify(unit)
         resid = float(np.max(np.abs(got - unit * want)) / np.max(np.abs(want)))
-        tol = _tol(tols, "extraction_momentum", 1e-6)
+        tol = _tol(tols, "extraction_momentum")
         cases.append(_case(
             f"extraction_momentum[n={n},l={l},m={m}]",
             {"n": n, "l": l, "m": m, "phase_unit": unit},
             resid, 0.0, tol, residual=resid,
         ))
-        tol = _tol(tols, "extraction_momentum_phase", 1e-6)
+        tol = _tol(tols, "extraction_momentum_phase")
         cases.append(_case(
             f"extraction_momentum_phase[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
             unit, (-1.0 + 0.0j) ** l, tol,
@@ -396,7 +465,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         fd = -(gp - gm) / (2.0 * h)
         exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pvec, delta)
         worst = _worst(worst, abs(fd - exact) / abs(exact))
-    tol = _tol(tols, "regulator_derivative_link", 1e-7)
+    tol = _tol(tols, "regulator_derivative_link")
     cases.append(_case(
         "regulator_derivative_link[random]", {"trials": 10}, worst, 0.0, tol, residual=worst,
     ))
@@ -417,7 +486,7 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
 
 def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
                nodes: int | None = None) -> tuple:
-    tols = tols or {}
+    tols = validate_tolerances(tols)
     cases = []
     disc = discrepancy_registry()
     rng = np.random.default_rng(seed)
@@ -426,19 +495,19 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
     xp, yp, rp = quadmaps.levi_civita(u2)
     resid = float(np.max(np.abs(xp ** 2 + yp ** 2 - rp ** 2) / rp ** 2))
     cases.append(_case("levi_civita_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "levi_civita_norm", 1e-13), residual=resid))
+                       _tol(tols, "levi_civita_norm"), residual=resid))
 
     u4 = rng.normal(size=(200, 4))
     xyz, r = quadmaps.ks_map(u4)
     resid = float(np.max(np.abs(np.sum(xyz ** 2, axis=-1) - r ** 2) / r ** 2))
     cases.append(_case("ks_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "ks_norm", 1e-12), residual=resid))
+                       _tol(tols, "ks_norm"), residual=resid))
 
     u8 = rng.normal(size=(200, 8))
     x5, r8 = quadmaps.hurwitz_map(u8)
     resid = float(np.max(np.abs(np.sum(x5 ** 2, axis=-1) - r8 ** 2) / r8 ** 2))
     cases.append(_case("hurwitz_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "hurwitz_norm", 1e-12), residual=resid))
+                       _tol(tols, "hurwitz_norm"), residual=resid))
 
     # Cayley-Klein round trip and fiber invariance
     worst_rt = 0.0
@@ -456,10 +525,10 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
             img = quadmaps.ks_map(quadmaps.cayley_klein(r0, th, ph, psi))[0]
             worst_fiber = _worst(worst_fiber, float(np.max(np.abs(img - base))) / r0)
     cases.append(_case("cayley_klein_roundtrip[random]", {"trials": 25}, worst_rt, 0.0,
-                       _tol(tols, "cayley_klein_roundtrip", 1e-13), residual=worst_rt))
+                       _tol(tols, "cayley_klein_roundtrip"), residual=worst_rt))
     cases.append(_case("ks_fiber_invariance[psi-grid]", {"trials": 25, "psi_points": 32},
                        worst_fiber, 0.0,
-                       _tol(tols, "ks_fiber_invariance", 1e-13), residual=worst_fiber))
+                       _tol(tols, "ks_fiber_invariance"), residual=worst_fiber))
 
     # Jacobian spot check: det d(x,y,z,psi)/du = 8|u|^2
     worst = 0.0
@@ -480,28 +549,28 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
         expect = 8.0 * float(u @ u)
         worst = _worst(worst, abs(det - expect) / expect)
     cases.append(_case("ks_jacobian[fd]", {"trials": 5}, worst, 0.0,
-                       _tol(tols, "ks_jacobian", 1e-8), residual=worst))
+                       _tol(tols, "ks_jacobian"), residual=worst))
 
     # measure identity through the lift
     hrule = quadrature.gauss_hermite(nodes or 28)
     res = quadmaps.ks_integral(lambda p: np.exp(-np.linalg.norm(p, axis=-1)), rule=hrule)
     cases.append(_case("ks_integral_exp[quadrature]", {"f": "exp(-r)"},
-                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral", 5e-3)))
+                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral")))
     res = quadmaps.ks_integral(lambda p: np.exp(-np.sum(p ** 2, axis=-1)), rule=hrule)
     cases.append(_case("ks_integral_gauss[quadrature]", {"f": "exp(-r^2)"},
-                       res.value, math.pi ** 1.5, _tol(tols, "ks_integral", 5e-3)))
+                       res.value, math.pi ** 1.5, _tol(tols, "ks_integral")))
     res = quadmaps.ks_integral(
         lambda p: np.exp(-np.linalg.norm(p, axis=-1)), method="mc",
         samples=1_000_000, seed=seed,
     )
     cases.append(_case("ks_integral_exp[mc]", {"f": "exp(-r)", "stderr": res.error},
-                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral", 5e-3)))
+                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral")))
     res = quadmaps.ks_integral(
         lambda p: (np.sum(p ** 2, axis=-1) < 1.0).astype(float), method="mc",
         samples=1_000_000, seed=seed + 1,
     )
     cases.append(_case("ks_integral_ball[mc]", {"f": "1(r<1)", "stderr": res.error},
-                       res.value, 4.0 * math.pi / 3.0, _tol(tols, "ks_integral_mc", 1e-2)))
+                       res.value, 4.0 * math.pi / 3.0, _tol(tols, "ks_integral_mc")))
 
     entry = disc["ks-lift-bookkeeping"]
     entry["measured"] = {
@@ -528,7 +597,7 @@ def _printed_level3(x) -> np.ndarray:
 
 def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
                    nodes: int | None = None, subset: str = "full") -> tuple:
-    tols = tols or {}
+    tols = validate_tolerances(tols)
     cases = []
     disc = discrepancy_registry()
     rng = np.random.default_rng(seed)
@@ -545,7 +614,7 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 f"det_identity[n={n},trial={trial}]",
                 {"n": n, "alpha": alpha},
                 res.value, res.closed_form,
-                _tol(tols, "det_identity", 1e-9), residual=rel,
+                _tol(tols, "det_identity"), residual=rel,
             ))
     if subset == "det":
         return cases, []
@@ -561,12 +630,12 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 worst = _worst(worst, float(np.max(np.abs(gi @ gj + gj @ gi))))
         cases.append(_case(
             f"gamma_relations[n={n}]", {"n": n}, worst, 0.0,
-            _tol(tols, "gamma_relations", 0.0), residual=worst,
+            _tol(tols, "gamma_relations"), residual=worst,
         ))
         ident = float(np.max(np.abs(gam[-1] - eye)))
         cases.append(_case(
             f"gamma_last_identity[n={n}]", {"n": n}, ident, 0.0,
-            _tol(tols, "gamma_relations", 0.0), residual=ident,
+            _tol(tols, "gamma_relations"), residual=ident,
         ))
 
         npar = 3 if n == 1 else 2 * n
@@ -578,14 +647,14 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         lin = 0.0 if np.array_equal(axy, ax + ay) else float(np.max(np.abs(axy - (ax + ay))))
         cases.append(_case(
             f"linearity[n={n}]", {"n": n}, lin, 0.0,
-            _tol(tols, "linearity", 0.0), residual=lin,
+            _tol(tols, "linearity"), residual=lin,
         ))
         normality = float(np.max(np.abs(
             ax @ ax.conj().T - float(x @ x) * np.eye(ax.shape[0])
         ))) / float(x @ x)
         cases.append(_case(
             f"normality[n={n}]", {"n": n}, normality, 0.0,
-            _tol(tols, "normality", 1e-12), residual=normality,
+            _tol(tols, "normality"), residual=normality,
         ))
 
     # printed low-level matrices: level 2 matches entrywise, level 3 only
@@ -598,7 +667,7 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
     ])
     resid = float(np.max(np.abs(a2 - printed2)))
     cases.append(_case("level2_entrywise[printed]", {}, resid, 0.0,
-                       _tol(tols, "level2_entrywise", 0.0), residual=resid))
+                       _tol(tols, "level2_entrywise"), residual=resid))
 
     x6 = rng.normal(size=6)
     p3 = _printed_level3(x6)
@@ -606,12 +675,12 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         p3 @ p3.conj().T - float(x6 @ x6) * np.eye(4)
     ))) / float(x6 @ x6)
     cases.append(_case("level3_printed_normality[printed]", {}, norm_resid, 0.0,
-                       _tol(tols, "normality", 1e-12), residual=norm_resid))
+                       _tol(tols, "normality"), residual=norm_resid))
     alpha = 0.11
     detp = complex(np.linalg.det(np.eye(4) - alpha * p3))
     closed = complex(1.0 - 2.0 * alpha * x6[5] + alpha ** 2 * float(x6 @ x6)) ** 2
     cases.append(_case("level3_printed_det[printed]", {"alpha": alpha}, detp, closed,
-                       _tol(tols, "det_identity", 1e-9)))
+                       _tol(tols, "det_identity")))
     mismatch = float(np.max(np.abs(clifford.build_A(3, x6).entries - p3)))
     disc["level3-entrywise-variant"]["measured"] = {
         "max_entry_difference": mismatch,
@@ -640,10 +709,10 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         1, (0.3, 0.2, math.cos(chi)), 0.4, 200
     )
     cases.append(_case("gegenbauer_series[n=1]", {"alpha": 0.4}, resid, 0.0,
-                       _tol(tols, "gegenbauer_series", 1e-10), residual=resid))
+                       _tol(tols, "gegenbauer_series"), residual=resid))
     resid = clifford.gegenbauer_series_check(2, (0.5, 0.5, 0.5, 0.5), 0.4, 80)
     cases.append(_case("gegenbauer_series[n=2]", {"alpha": 0.4}, resid, 0.0,
-                       _tol(tols, "gegenbauer_series", 1e-10), residual=resid))
+                       _tol(tols, "gegenbauer_series"), residual=resid))
 
     return cases, [disc["gamma-anticommutator-sign"], disc["level3-entrywise-variant"]]
 
@@ -652,24 +721,9 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
 # identities suite
 # ---------------------------------------------------------------------------
 
-def _s3_grid_eval(n, l, m, rule):
-    """Vectorized hyperspherical harmonic on a product (chi, theta, phi) grid."""
-    chi = rule.chi[:, None, None]
-    theta = rule.sphere.theta[None, :, None]
-    phi = rule.sphere.phi[None, None, :]
-    norm = 2.0 ** (l + 1) * math.exp(
-        math.lgamma(l + 1.0)
-        + 0.5 * (math.log(n) + math.lgamma(n - l) - math.log(2.0 * math.pi)
-                 - math.lgamma(n + l + 1.0))
-    )
-    gg = specfun.gegenbauer(n - l - 1, l + 1.0, np.cos(chi))
-    ylm = specfun.spherical_harmonic(l, m, theta, phi)
-    return norm * np.sin(chi) ** l * gg * ylm
-
-
 def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                      nodes: int | None = None) -> tuple:
-    tols = tols or {}
+    tols = validate_tolerances(tols)
     cases = []
     disc = discrepancy_registry()
     rng = np.random.default_rng(seed)
@@ -682,7 +736,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 worst = _worst(worst, identities.genfunc_gegenbauer(a, t, float(x)).residual)
         cases.append(_case(
             f"genfunc_gegenbauer[a={a}]", {"a": a, "t_max": 0.5}, worst, 0.0,
-            _tol(tols, "genfunc_gegenbauer", 1e-10), residual=worst,
+            _tol(tols, "genfunc_gegenbauer"), residual=worst,
         ))
 
     # order-lowering recurrence
@@ -694,7 +748,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 worst = _worst(worst, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
         cases.append(_case(
             f"gegenbauer_recurrence[a={a}]", {"a": a, "n_max": 20}, worst, 0.0,
-            _tol(tols, "gegenbauer_recurrence", 1e-10), residual=worst,
+            _tol(tols, "gegenbauer_recurrence"), residual=worst,
         ))
 
     # Bessel-weighted generating function
@@ -705,14 +759,14 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 worst = _worst(worst, identities.bessel_genfunc(a, z, chi).residual)
         cases.append(_case(
             f"bessel_genfunc[a={a}]", {"a": a, "z_max": 5.0}, worst, 0.0,
-            _tol(tols, "bessel_genfunc", 1e-8), residual=worst,
+            _tol(tols, "bessel_genfunc"), residual=worst,
         ))
 
     # integral representation: l = 0 closes exactly, kappa is chi-independent
     quad_nodes = nodes or 200
     r0 = identities.integral_rep(0, 0.5, 1.0, quad_nodes)
     cases.append(_case("integral_rep_l0[closed]", {"alpha": 0.5, "chi": 1.0},
-                       r0.rhs, r0.lhs, _tol(tols, "integral_rep_l0", 1e-12)))
+                       r0.rhs, r0.lhs, _tol(tols, "integral_rep_l0")))
     kappas = {}
     for l in range(4):
         for alpha in (0.3, 0.6):
@@ -723,12 +777,12 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             cases.append(_case(
                 f"integral_rep_kappa_constancy[l={l},alpha={alpha}]",
                 {"l": l, "alpha": alpha}, spread, 0.0,
-                _tol(tols, "integral_rep_constancy", 1e-7), residual=spread,
+                _tol(tols, "integral_rep_constancy"), residual=spread,
             ))
             cases.append(_case(
                 f"integral_rep_kappa_value[l={l},alpha={alpha}]",
                 {"l": l, "alpha": alpha}, float(np.mean(vals)), target,
-                _tol(tols, "integral_rep_value", 1e-7),
+                _tol(tols, "integral_rep_value"),
             ))
             kappas[f"(l={l},alpha={alpha})"] = float(np.mean(vals))
     disc["integral-representation-prefactor"]["measured"] = {"kappa": kappas}
@@ -742,7 +796,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         rp /= np.linalg.norm(rp)
         worst = _worst(worst, identities.plane_wave_partial(rv, rp, 25).residual)
     cases.append(_case("plane_wave[rrp=sqrt2,L=25]", {"L": 25}, worst, 0.0,
-                       _tol(tols, "plane_wave", 1e-10), residual=worst))
+                       _tol(tols, "plane_wave"), residual=worst))
     rv = np.array([5.0, 0.0, 0.0])
     rp = np.array([0.3, 0.8, 0.52])
     rp /= np.linalg.norm(rp)
@@ -750,7 +804,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
     decreasing = all(b < a for a, b in zip(tail, tail[1:]))
     cases.append(_case("plane_wave_tail_monotone[rrp=5]", {"L_list": [10, 15, 20, 25, 30]},
                        0.0 if decreasing else 1.0, 0.0,
-                       _tol(tols, "plane_wave_tail", 0.0),
+                       _tol(tols, "plane_wave_tail"),
                        residual=0.0 if decreasing else 1.0))
 
     # duplication formula, printed and corrected variants
@@ -758,11 +812,11 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         chk = identities.duplication_check(n)
         cases.append(_case(
             f"duplication_printed_factor2[n={n}]", {"n": n},
-            chk.printed, 0.5, _tol(tols, "duplication_printed", 1e-12),
+            chk.printed, 0.5, _tol(tols, "duplication_printed"),
         ))
     worst = _worst(*(identities.duplication_check(n).corrected for n in range(11)))
     cases.append(_case("duplication_corrected[n<=10]", {"n_max": 10}, worst, 0.0,
-                       _tol(tols, "duplication_corrected", 1e-13), residual=worst))
+                       _tol(tols, "duplication_corrected"), residual=worst))
     disc["duplication-formula-power"]["measured"] = {
         "printed_residual_at_n1": identities.duplication_check(1).printed,
         "corrected_max_residual": worst,
@@ -776,7 +830,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         * s3.sphere.theta_weights[None, :, None]
         * s3.sphere.phi_weight
     )
-    fields = [_s3_grid_eval(n, l, m, s3) for (n, l, m) in states]
+    fields = [identities.hyperspherical_on_s3(n, l, m, s3) for (n, l, m) in states]
     worst = 0.0
     for i, fi in enumerate(fields):
         for j2, fj in enumerate(fields):
@@ -785,7 +839,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             worst = _worst(worst, abs(val - want))
     cases.append(_case("hyperspherical_orthonormality[n<=3]",
                        {"states": len(states)}, worst, 0.0,
-                       _tol(tols, "hyperspherical_orthonormality", 1e-9), residual=worst))
+                       _tol(tols, "hyperspherical_orthonormality"), residual=worst))
 
     # harmonicity of the homogeneous extension (4-D five-point Laplacian)
     worst = 0.0
@@ -808,7 +862,7 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             lap /= h * h
             worst = _worst(worst, abs(lap))
     cases.append(_case("hyperspherical_harmonicity[fd]", {"h": h}, worst, 0.0,
-                       _tol(tols, "hyperspherical_harmonicity", 1e-4), residual=worst))
+                       _tol(tols, "hyperspherical_harmonicity"), residual=worst))
     disc["hyperspherical-radial-exponent"]["measured"] = {
         "fd_laplacian_max": worst,
     }
@@ -830,10 +884,10 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                             worst_sel = _worst(worst_sel, chk.residual)
             cases.append(_case(
                 f"triple_D[n={n},l={l}]", {"n": n, "l": l}, worst, 0.0,
-                _tol(tols, "triple_D", 1e-9), residual=worst,
+                _tol(tols, "triple_D"), residual=worst,
             ))
     cases.append(_case("triple_D_selection_zero[all]", {}, worst_sel, 0.0,
-                       _tol(tols, "triple_D_selection", 1e-12), residual=worst_sel))
+                       _tol(tols, "triple_D_selection"), residual=worst_sel))
 
     # passage between the 4-D harmonics and D-matrix elements
     phases = {}
@@ -851,11 +905,11 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                     worst = _worst(worst, chk.residual)
             cases.append(_case(
                 f"passage[n={n},l={l}]", {"n": n, "l": l, "phase": phase}, worst, 0.0,
-                _tol(tols, "passage", 1e-8), residual=worst,
+                _tol(tols, "passage"), residual=worst,
             ))
             cases.append(_case(
                 f"passage_phase_unit[n={n},l={l}]", {"n": n, "l": l},
-                phase, 1.0 + 0.0j, _tol(tols, "passage_phase", 1e-10),
+                phase, 1.0 + 0.0j, _tol(tols, "passage_phase"),
             ))
     disc["passage-formula-m-structure"]["measured"] = {"phase_per_nl": phases}
 
@@ -878,18 +932,6 @@ SUITES = {
 }
 
 
-def _max_workers() -> int:
-    env = os.environ.get("FOCKSPACE_THREADS", "0")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap == 1:
-        return 1
-    auto = min(4, os.cpu_count() or 1)
-    return auto if cap <= 0 else min(cap, auto * 4)
-
-
 def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
                nodes: int | None = None) -> VerificationReport:
     """Run one named suite (or "all") and assemble the report."""
@@ -897,9 +939,8 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     t0 = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]
-    results = []
-    workers = _max_workers()
-    if suite == "all" and workers > 1:
+    workers = min(len(names), os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(SUITES[name], seed, tols, nodes) for name in names]
             results = [f.result() for f in futures]

@@ -250,7 +250,7 @@ def test_criterion_8_hyperspherical_block():
     states = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
     w = (rule.chi_weights[:, None, None]
          * rule.sphere.theta_weights[None, :, None] * rule.sphere.phi_weight)
-    fields = [verify._s3_grid_eval(n, l, m, rule) for (n, l, m) in states]
+    fields = [identities.hyperspherical_on_s3(n, l, m, rule) for (n, l, m) in states]
     worst_gram = 0.0
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):

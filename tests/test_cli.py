@@ -166,6 +166,13 @@ def test_verify_bad_tol_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [("verify", "maps"), ("clifford-det",)])
+def test_verify_unknown_tol_key_exits_2(command):
+    proc = run_cli(*command, "--tol", "ks_integral_typo=1e-30")
+    assert proc.returncode == 2
+    assert "ks_integral_typo" in proc.stderr
+
+
 def test_verify_nodes_out_of_range_exits_2():
     for nodes in ("0", "1", "4097"):
         proc = run_cli("verify", "hydrogen", "--nodes", nodes)

@@ -141,12 +141,6 @@ def test_fock_point_validation():
         hy.fock_map((0, 0, 1), 0.0)
 
 
-def test_bound_state_scales():
-    bs = hy.BoundState(sf.QuantumNumbers(4, 2, -1))
-    assert bs.delta == 0.25
-    assert bs.omega == 0.5
-
-
 # ---------------------------------------------------------------------------
 # generating functions
 # ---------------------------------------------------------------------------

@@ -284,11 +284,3 @@ def test_passage_matches_harmonics(n, l):
         ph = float(rng.uniform(0.0, 2 * math.pi))
         chk = idn.passage_residual(n, l, m, chi, th, ph, phase=phase)
         assert chk.residual < 1e-8
-
-
-def test_identity_case_dataclass():
-    case = idn.IdentityCase("demo", {"x": 1}, 2.0 + 0j, 2.0 + 1e-12j, 1e-9)
-    assert case.passed
-    assert case.residual == pytest.approx(5e-13, rel=1e-3)
-    case = idn.IdentityCase("demo", {}, 1.0, 2.0, 1e-9)
-    assert not case.passed

@@ -97,15 +97,6 @@ def test_fiber_angle_jacobian():
         assert abs(np.linalg.det(jac)) == pytest.approx(expect, rel=1e-8)
 
 
-def test_coordinate_tuple_validation():
-    qm.CoordinateTuple((1.0, 2.0), role="domain")
-    qm.CoordinateTuple((1.0, 2.0, 3.0, 4.0, 5.0), role="image")
-    with pytest.raises(ValueError):
-        qm.CoordinateTuple((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-    with pytest.raises(ValueError):
-        qm.CoordinateTuple((1.0, 2.0), role="wat")
-
-
 # ---------------------------------------------------------------------------
 # the lifted integral
 # ---------------------------------------------------------------------------

@@ -170,6 +170,18 @@ def test_mc_chunking_invariance():
     assert a[1] == pytest.approx(b[1], rel=1e-9)
 
 
+def test_mc_complex_integrand_splits_into_parts():
+    g = lambda u: np.cos(u[:, 0] * u[:, 1])
+    h = lambda u: u[:, 0] ** 2 - u[:, 1]
+    est, err = qr.mc_gaussian(2, lambda u: g(u) + 1j * h(u), 30_000, seed=4, chunk=7_000)
+    est_g, err_g = qr.mc_gaussian(2, g, 30_000, seed=4, chunk=7_000)
+    est_h, err_h = qr.mc_gaussian(2, h, 30_000, seed=4, chunk=7_000)
+    assert isinstance(est, complex)
+    assert est.real == pytest.approx(est_g, rel=1e-13)
+    assert est.imag == pytest.approx(est_h, rel=1e-13)
+    assert err ** 2 == pytest.approx(err_g ** 2 + err_h ** 2, rel=1e-12)
+
+
 def test_mc_input_validation():
     with pytest.raises(ValueError):
         qr.mc_gaussian(0, lambda u: u[:, 0], 100)

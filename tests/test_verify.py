@@ -1,4 +1,4 @@
-"""The suite runner: all suites green, threading cap honored, report sane."""
+"""The suite runner: all suites green, case order fixed under threads, report sane."""
 
 import json
 import math
@@ -38,14 +38,15 @@ def test_tolerance_override_tightening_fails_a_case():
     assert not report.all_passed
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("FOCKSPACE_THREADS", "1")
-    serial = verify.run_verify("all", seed=3)
-    monkeypatch.setenv("FOCKSPACE_THREADS", "0")
-    auto = verify.run_verify("all", seed=3)
-    a = [dict(c) for c in serial.cases]
-    b = [dict(c) for c in auto.cases]
-    assert a == b  # same cases in the same order regardless of threading
+def test_unknown_tolerance_key_rejected():
+    with pytest.raises(ValueError, match="ks_integral_typo"):
+        verify.run_verify("maps", seed=42, tols={"ks_integral_typo": 1e-30})
+
+
+def test_thread_pool_keeps_case_order():
+    pooled = verify.run_verify("all", seed=3)
+    serial = [case for name in verify.SUITES for case in verify.SUITES[name](3, None, None)[0]]
+    assert pooled.cases == serial  # same cases in the same order regardless of threading
 
 
 def test_report_json_is_stable_under_seed(tmp_path):
