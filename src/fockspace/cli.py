@@ -101,10 +101,10 @@ def _quantum_numbers(args, parser) -> specfun.QuantumNumbers:
 def cmd_eval(args, parser) -> int:
     qn = _quantum_numbers(args, parser)
     point = tuple(args.point)
-    if args.kind == "position":
-        value = hydrogen.psi_position(qn, point)
-    else:
-        value = hydrogen.psi_momentum(qn, point)
+    psi = hydrogen.psi_position if args.kind == "position" else hydrogen.psi_momentum
+    # an overflow shows as a non-finite value, refused just below
+    with np.errstate(all="ignore"):
+        value = psi(qn, point)
     if not cmath.isfinite(value):
         parser.error("the wavefunction overflows at this point")
     if args.format == "json":
@@ -179,7 +179,9 @@ def _table_rows(args, parser):
 
 
 def cmd_table(args, parser) -> int:
-    columns, rows = _table_rows(args, parser)
+    # an overflow shows as a non-finite value, refused just below
+    with np.errstate(all="ignore"):
+        columns, rows = _table_rows(args, parser)
     if not np.all(np.isfinite(rows)):
         parser.error("the tabulated function overflows on this grid")
     if args.format == "json":
@@ -270,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
         p.add_argument("--nodes", type=_node_count, default=None,
-                       help="quadrature node-count override")
+                       help="node count of the hydrogen Hankel and overlap rules "
+                            "(overlap never below 200), the maps Hermite rule and "
+                            "the identities Laguerre rule; the clifford suite and "
+                            "clifford-det ignore it")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", metavar="PATH", default=None)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import IntegrabilityError, SingularityError
-from .specfun import gegenbauer
+from .specfun import gegenbauer_ladder
 
 __all__ = [
     "CliffordMatrix",
@@ -247,6 +247,7 @@ def gegenbauer_series_check(n: int, x, alpha: complex, terms: int) -> float:
     else:
         arg = a.x[-1] / norm
         series = sum(
-            (alpha * norm) ** m * gegenbauer(m, order, arg) for m in range(terms)
+            (alpha * norm) ** m * c
+            for m, c in zip(range(terms), gegenbauer_ladder(order, arg))
         )
     return abs(closed - series)

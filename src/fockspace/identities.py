@@ -24,9 +24,11 @@ from . import quadrature
 from .errors import IntegrabilityError
 from .specfun import (
     gegenbauer,
+    gegenbauer_ladder,
     spherical_angles,
     spherical_bessel,
     spherical_harmonic,
+    spherical_harmonics,
     wigner_3j,
     wigner_D_su2,
     wigner_d_small,
@@ -69,8 +71,8 @@ def genfunc_gegenbauer(a: float, t: float, x: float, max_terms: int = 600) -> Ge
     closed = (1.0 - 2.0 * x * t + t * t) ** (-a)
     series = 0.0
     small = 0
-    for m in range(max_terms):
-        term = t ** m * gegenbauer(m, a, x)
+    for m, c in zip(range(max_terms), gegenbauer_ladder(a, x)):
+        term = t ** m * c
         series += term
         small = small + 1 if abs(term) < 1e-13 * max(1.0, abs(series)) else 0
         if small >= 3:
@@ -114,9 +116,8 @@ def bessel_genfunc(a: float, z: float, chi: float, terms: int = 60) -> BesselGen
     lg2a = math.lgamma(2.0 * a)
     lgha = math.lgamma(a + 0.5)
     rhs = sum(
-        math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn))
-        * gegenbauer(nn, a, math.cos(chi)) * z ** nn
-        for nn in range(terms)
+        math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn)) * c * z ** nn
+        for nn, c in zip(range(terms), gegenbauer_ladder(a, math.cos(chi)))
     )
     return BesselGenFuncCheck(lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
@@ -192,13 +193,12 @@ def plane_wave_partial(rvec, rpvec, L: int) -> PlaneWaveCheck:
         return PlaneWaveCheck(exact, 1.0 + 0.0j, abs(exact - 1.0))
     _, th, ph = spherical_angles(rvec)
     _, thp, php = spherical_angles(rpvec)
+    ylm = spherical_harmonics(L, th, ph)
+    ylm_p = spherical_harmonics(L, thp, php)
     partial = 0.0 + 0.0j
     for l in range(L + 1):
         jl = spherical_bessel(l, r * rp)
-        msum = sum(
-            np.conj(spherical_harmonic(l, m, thp, php)) * spherical_harmonic(l, m, th, ph)
-            for m in range(-l, l + 1)
-        )
+        msum = sum(np.conj(ylm_p[l, m]) * ylm[l, m] for m in range(-l, l + 1))
         partial += 4.0 * math.pi * 1j ** l * jl * msum
     return PlaneWaveCheck(exact, partial, abs(exact - partial) / max(1.0, abs(exact)))
 

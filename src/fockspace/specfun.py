@@ -6,6 +6,17 @@ with the Condon-Shortley phase, spherical Bessel functions, Wigner 3j symbols
 and D-matrices, and the normalized two-variable monomials that generate the
 spherical harmonics through a null vector.
 
+Degree ladders
+--------------
+Series that need every degree up to some M walk one recurrence instead of
+restarting it per term.  ``gegenbauer_ladder(a, x)`` yields C_0^(a)(x),
+C_1^(a)(x), ... one rung at a time, and ``gegenbauer(m, a, x)`` is its m-th
+rung.  The normalized-Legendre ascent yields P-tilde_m^m ... P-tilde_L^m for
+one m; ``spherical_harmonic`` keeps its last entry and
+``spherical_harmonics(L, theta, phi)`` keeps them all, one ascent per m.
+A rung or table entry is bit-equal to the single-degree call, because both
+run the same floating-point operations in the same order.
+
 Conventions
 -----------
 * Laguerre polynomials follow the standard generating function
@@ -22,6 +33,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +45,9 @@ __all__ = [
     "NullVector",
     "laguerre",
     "gegenbauer",
+    "gegenbauer_ladder",
     "spherical_harmonic",
+    "spherical_harmonics",
     "spherical_bessel",
     "wigner_3j",
     "wigner_d_small",
@@ -127,26 +141,40 @@ def laguerre(k: int, a: float, x):
 def gegenbauer(m: int, a: float, x):
     """Gegenbauer (ultraspherical) polynomial C_m^(a)(x).
 
-    Three-term recurrence seeded with C_0 = 1, C_1 = 2 a x.  Negative degrees
-    are defined as exactly zero, which is the natural convention for the
-    difference identities built on top of this routine.
+    The m-th rung of ``gegenbauer_ladder``.  Negative degrees are defined as
+    exactly zero, which is the natural convention for the difference
+    identities built on top of this routine.
     """
     if m != int(m):
         raise ValueError(f"degree must be an integer, got {m}")
+    m = int(m)
+    rungs = gegenbauer_ladder(a, x)  # validates a, also for m < 0
+    if m < 0:
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        return out if out.ndim else 0.0
+    return next(itertools.islice(rungs, m, None))
+
+
+def gegenbauer_ladder(a: float, x):
+    """Iterator over C_0^(a)(x), C_1^(a)(x), C_2^(a)(x), ... without end.
+
+    Three-term recurrence seeded with C_0 = 1, C_1 = 2 a x; each rung costs
+    one step, taken only when the rung is requested.  A scalar x yields
+    floats.  An array x yields arrays that the next step still reads, so
+    callers must not modify them in place.
+    """
     if a <= -0.5:
         raise ValueError(f"Gegenbauer order must exceed -1/2, got a={a}")
-    m = int(m)
-    x = np.asarray(x, dtype=float)
-    if m < 0:
-        out = np.zeros_like(x)
-        return out if out.ndim else 0.0
+    return _gegenbauer_rungs(a, np.asarray(x, dtype=float))
+
+
+def _gegenbauer_rungs(a: float, x: np.ndarray):
     prev = np.ones_like(x)
-    if m == 0:
-        return prev if prev.ndim else float(prev)
+    yield prev if prev.ndim else float(prev)
     cur = 2.0 * a * x
-    for i in range(1, m):
+    for i in itertools.count(1):
+        yield cur if cur.ndim else float(cur)
         prev, cur = cur, (2.0 * x * (i + a) * cur - (i + 2.0 * a - 1.0) * prev) / (i + 1)
-    return cur if cur.ndim else float(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +196,8 @@ def spherical_angles(vec) -> tuple:
     return r, theta, phi
 
 
-def _legendre_normalized(l: int, m: int, costheta, sintheta):
-    """Fully normalized associated Legendre P-tilde_l^m for m >= 0.
+def _legendre_column(L: int, m: int, costheta, sintheta):
+    """Yield the fully normalized P-tilde_l^m for l = m, m+1, ..., L (m >= 0).
 
     P-tilde includes the Condon-Shortley phase and the sqrt((2l+1)/(4pi) *
     (l-m)!/(l+m)!) factor, so Y_lm = P-tilde * exp(i m phi).
@@ -178,16 +206,31 @@ def _legendre_normalized(l: int, m: int, costheta, sintheta):
     pmm = np.full_like(costheta, 1.0 / _SQRT4PI)
     for k in range(1, m + 1):
         pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * sintheta * pmm
-    if l == m:
-        return pmm
+    yield pmm
+    if L == m:
+        return
     pm1 = math.sqrt(2 * m + 3.0) * costheta * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
+    yield pm1
+    for ll in range(m + 2, L + 1):
         c0 = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
         c1 = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
         pmm, pm1 = pm1, c0 * (costheta * pm1 - c1 * pmm)
-    return pm1
+        yield pm1
+
+
+def _legendre_normalized(l: int, m: int, costheta, sintheta):
+    """Fully normalized associated Legendre P-tilde_l^m for m >= 0."""
+    for p in _legendre_column(l, m, costheta, sintheta):
+        pass
+    return p
+
+
+def _harmonic(p, phase, m: int):
+    # Y_lm from P-tilde_l^|m| and exp(i |m| phi); Y_l,-m = (-1)^m conj(Y_lm)
+    y = p * phase
+    if m < 0:
+        y = (-1.0) ** -m * np.conjugate(y)
+    return y if y.ndim else complex(y)
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -201,10 +244,30 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     phi = np.asarray(phi, dtype=float)
     ma = abs(m)
     p = _legendre_normalized(l, ma, np.cos(theta), np.sin(theta))
-    y = p * np.exp(1j * ma * phi)
-    if m < 0:
-        y = (-1.0) ** ma * np.conjugate(y)
-    return y if y.ndim else complex(y)
+    return _harmonic(p, np.exp(1j * ma * phi), m)
+
+
+def spherical_harmonics(L: int, theta, phi) -> dict:
+    """Every Y_lm(theta, phi) with l <= L, keyed by (l, m).
+
+    One Legendre ascent per |m| serves all degrees, so the table costs
+    O(L^2) steps where L^2 separate ``spherical_harmonic`` calls cost O(L^3).
+    Each entry equals ``spherical_harmonic(l, m, theta, phi)`` bit for bit.
+    """
+    if L < 0 or L != int(L):
+        raise ValueError(f"L must be a nonnegative integer, got {L}")
+    L = int(L)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    costheta, sintheta = np.cos(theta), np.sin(theta)
+    table = {}
+    for ma in range(L + 1):
+        phase = np.exp(1j * ma * phi)
+        for l, p in enumerate(_legendre_column(L, ma, costheta, sintheta), start=ma):
+            table[l, ma] = _harmonic(p, phase, ma)
+            if ma:
+                table[l, -ma] = _harmonic(p, phase, -ma)
+    return table
 
 
 def spherical_bessel(l: int, x):

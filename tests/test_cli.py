@@ -127,6 +127,18 @@ def test_table_rejects_non_finite_values():
     assert "Traceback" not in proc.stderr
 
 
+def test_overflow_refusal_prints_only_the_usage_error():
+    for args in (
+        ("table", "fock", "--delta", "1", "--grid-p", "0", "1e308", "3"),
+        ("eval", "position", "--n", "2", "--l", "1", "--m", "0", "--point", "1e200", "0", "0"),
+        ("eval", "momentum", "--n", "2", "--l", "1", "--m", "0", "--point", "1e200", "0", "0"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and not proc.stdout
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
+
+
 def test_table_missing_params_exit_code():
     proc = run_cli("table", "radial", "--grid", "0", "1", "10")
     assert proc.returncode == 2

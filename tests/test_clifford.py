@@ -7,6 +7,7 @@ import pytest
 
 from fockspace import clifford as cl
 from fockspace.errors import IntegrabilityError, SingularityError
+from fockspace.specfun import gegenbauer
 
 
 def test_matrix_sizes():
@@ -208,6 +209,23 @@ def test_gegenbauer_series_legendre_direction():
 def test_gegenbauer_series_level2():
     resid = cl.gegenbauer_series_check(2, (0.5, 0.5, 0.5, 0.5), 0.4, 80)
     assert resid < 1e-10
+
+
+def test_gegenbauer_series_equals_per_term_sum():
+    rng = np.random.default_rng(4)
+    for n, size in ((1, 3), (2, 4), (3, 6)):
+        for _ in range(3):
+            x = 0.3 * rng.normal(size=size)
+            params = cl.build_A(n, x).x
+            norm = math.sqrt(sum(v * v for v in params))
+            order = 0.5 if n == 1 else float(1 << (n - 2))
+            for alpha, terms in ((0.4, 60), (0.3 + 0.1j, 7), (0.2, 1)):
+                series = sum(
+                    (alpha * norm) ** m * gegenbauer(m, order, params[-1] / norm)
+                    for m in range(terms)
+                )
+                want = abs(cl.bargmann_closed(n, x, alpha) - series)
+                assert cl.gegenbauer_series_check(n, x, alpha, terms) == want
 
 
 def test_gegenbauer_series_zero_terms():

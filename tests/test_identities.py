@@ -35,6 +35,43 @@ def test_genfunc_gegenbauer_domain_and_warning():
         idn.genfunc_gegenbauer(1.0, 0.95, 0.2)
 
 
+def genfunc_reference(a, t, x, max_terms=600):
+    # the series one scalar gegenbauer call per term, with the same early stop
+    closed = (1.0 - 2.0 * x * t + t * t) ** (-a)
+    series = 0.0
+    small = 0
+    for m in range(max_terms):
+        term = t ** m * sf.gegenbauer(m, a, x)
+        series += term
+        small = small + 1 if abs(term) < 1e-13 * max(1.0, abs(series)) else 0
+        if small >= 3:
+            break
+    return closed, series, abs(closed - series) / max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.5, 7.0])
+def test_genfunc_gegenbauer_equals_per_term_series(a):
+    for t in (-0.5, 0.0, 0.1, 0.45, 0.8):
+        for x in (-1.0, -0.3, 0.0, 0.77, 1.0):
+            assert tuple(idn.genfunc_gegenbauer(a, t, x)) == genfunc_reference(a, t, x)
+    assert tuple(idn.genfunc_gegenbauer(a, 0.6, 0.2, max_terms=7)) == genfunc_reference(
+        a, 0.6, 0.2, max_terms=7)
+
+
+def test_genfunc_gegenbauer_stops_early(monkeypatch):
+    drawn = []
+
+    def counting_ladder(a, x):
+        for c in sf.gegenbauer_ladder(a, x):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(idn, "gegenbauer_ladder", counting_ladder)
+    chk = idn.genfunc_gegenbauer(1.0, 0.1, 0.3)
+    assert chk.residual < 1e-14
+    assert len(drawn) < 25  # terms fall below 1e-13 near m = 14; 3 more confirm
+
+
 def test_bessel_genfunc_leading_term():
     # z = 0 keeps only the n = 0 term, 1/Gamma(a + 1/2)
     for a in (0.7, 1.0, 2.5):
@@ -52,6 +89,21 @@ def test_bessel_genfunc_leading_term():
 def test_bessel_genfunc_agreement(a, z, chi, tol):
     chk = idn.bessel_genfunc(a, z, chi)
     assert chk.residual < tol
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
+def test_bessel_genfunc_equals_per_term_series(a):
+    lg2a, lgha = math.lgamma(2.0 * a), math.lgamma(a + 0.5)
+    for z in (0.0, 0.5, 3.0):
+        for chi in (0.0, 0.4, 1.7, math.pi):
+            for terms in (0, 1, 20, 60):
+                chk = idn.bessel_genfunc(a, z, chi, terms=terms)
+                rhs = sum(
+                    math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn))
+                    * sf.gegenbauer(nn, a, math.cos(chi)) * z ** nn
+                    for nn in range(terms)
+                )
+                assert chk.rhs == rhs
 
 
 def test_bessel_genfunc_endpoint_chi():
@@ -133,6 +185,26 @@ def test_plane_wave_converged():
     v2 /= np.linalg.norm(v2)
     chk = idn.plane_wave_partial(v1, v2, 25)
     assert chk.residual < 1e-10
+
+
+def test_plane_wave_equals_per_term_sum():
+    # the m-sum in the same order, two scalar harmonics per term
+    rng = np.random.default_rng(11)
+    points = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+    points += [((0.0, 0.0, 1.3), (0.0, 0.0, -0.4)), ((0.2, -0.7, 0.0), (0.0, 0.0, 2.0))]
+    for rvec, rpvec in points:
+        r, th, ph = sf.spherical_angles(rvec)
+        rp, thp, php = sf.spherical_angles(rpvec)
+        for L in (0, 1, 2, 3, 5, 12):
+            partial = 0.0 + 0.0j
+            for l in range(L + 1):
+                msum = sum(
+                    np.conj(sf.spherical_harmonic(l, m, thp, php))
+                    * sf.spherical_harmonic(l, m, th, ph)
+                    for m in range(-l, l + 1)
+                )
+                partial += 4.0 * math.pi * 1j ** l * sf.spherical_bessel(l, r * rp) * msum
+            assert idn.plane_wave_partial(rvec, rpvec, L).partial == partial
 
 
 def test_plane_wave_tail_decays_geometrically():

@@ -208,6 +208,100 @@ def test_sph_harm_rejects_bad_m():
 
 
 # ---------------------------------------------------------------------------
+# degree ladders against the single-degree loops they replace
+# ---------------------------------------------------------------------------
+
+def gegenbauer_loop(m, a, x):
+    # one degree, recurrence restarted from C_0: the arithmetic every rung of
+    # the ladder must repeat exactly
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if m == 0:
+        return prev if prev.ndim else float(prev)
+    cur = 2.0 * a * x
+    for i in range(1, m):
+        prev, cur = cur, (2.0 * x * (i + a) * cur - (i + 2.0 * a - 1.0) * prev) / (i + 1)
+    return cur if cur.ndim else float(cur)
+
+
+def harmonic_loop(l, m, theta, phi):
+    # one (l, m), Legendre ascent restarted from P_0^0
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ma = abs(m)
+    costheta, sintheta = np.cos(theta), np.sin(theta)
+    p = np.full_like(costheta, 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, ma + 1):
+        p = -math.sqrt((2 * k + 1) / (2.0 * k)) * sintheta * p
+    if l > ma:
+        pmm, p = p, math.sqrt(2 * ma + 3.0) * costheta * p
+        for ll in range(ma + 2, l + 1):
+            c0 = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - ma * ma))
+            c1 = math.sqrt(((ll - 1.0) ** 2 - ma * ma) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+            pmm, p = p, c0 * (costheta * p - c1 * pmm)
+    y = p * np.exp(1j * ma * phi)
+    if m < 0:
+        y = (-1.0) ** ma * np.conjugate(y)
+    return y if y.ndim else complex(y)
+
+
+def same_bits(got, want):
+    """Same type, shape and IEEE bit pattern (so -0.0 != 0.0 and nan == nan)."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+unit_x = st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([-1.0, 1.0]))
+gegenbauer_order = st.one_of(
+    st.floats(min_value=-0.5, max_value=8.0, exclude_min=True),
+    st.sampled_from([-0.5 + 1e-15, -0.5 + 1e-9, -0.49, 0.0, 0.5, 1.0]),
+)
+polar = st.one_of(st.floats(min_value=0.0, max_value=math.pi), st.sampled_from([0.0, math.pi]))
+azimuth = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@given(a=gegenbauer_order, x=st.one_of(unit_x, st.lists(unit_x, min_size=1, max_size=6)),
+       depth=st.integers(min_value=0, max_value=40))
+@settings(max_examples=120, deadline=None)
+def test_gegenbauer_ladder_rungs_are_the_single_degree_values(a, x, depth):
+    rungs = sf.gegenbauer_ladder(a, x)
+    for m in range(depth + 1):
+        rung = next(rungs)
+        assert same_bits(rung, sf.gegenbauer(m, a, x))
+        assert same_bits(rung, gegenbauer_loop(m, a, x))
+    for m in (-1, -depth - 1):
+        want = np.zeros_like(np.asarray(x, dtype=float))
+        assert same_bits(sf.gegenbauer(m, a, x), want if want.ndim else 0.0)
+
+
+def test_gegenbauer_ladder_validates_before_the_first_rung():
+    with pytest.raises(ValueError):
+        sf.gegenbauer_ladder(-0.5, 0.3)
+    with pytest.raises(ValueError):
+        sf.gegenbauer(-1, -0.5, 0.3)
+
+
+@given(L=st.integers(min_value=0, max_value=12), theta=polar, phi=azimuth,
+       grid=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_spherical_harmonics_table_entries_are_the_single_values(L, theta, phi, grid):
+    if grid:  # an array argument: the poles and the given point, one azimuth each
+        theta = np.array([0.0, theta, math.pi])
+        phi = np.array([phi, -phi, 0.5 * phi])
+    table = sf.spherical_harmonics(L, theta, phi)
+    assert sorted(table) == sorted((l, m) for l in range(L + 1) for m in range(-l, l + 1))
+    for (l, m), y in table.items():
+        assert same_bits(y, sf.spherical_harmonic(l, m, theta, phi))
+        assert same_bits(y, harmonic_loop(l, m, theta, phi))
+
+
+def test_spherical_harmonics_rejects_bad_degree():
+    for L in (-1, 1.5):
+        with pytest.raises(ValueError):
+            sf.spherical_harmonics(L, 0.3, 0.4)
+
+
+# ---------------------------------------------------------------------------
 # spherical Bessel
 # ---------------------------------------------------------------------------
 
