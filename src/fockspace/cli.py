@@ -14,7 +14,6 @@ import cmath
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -209,15 +208,9 @@ def _report_text(report: verify.VerificationReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args, parser, subset: str = "full") -> int:
+def cmd_verify(args, parser) -> int:
     tols = _parse_tols(args.tol, parser)
-    if subset == "det":
-        t0 = time.perf_counter()
-        cases, disc = verify.suite_clifford(args.seed, tols, args.nodes, subset="det")
-        elapsed = int(round(1000.0 * (time.perf_counter() - t0)))
-        report = verify.VerificationReport("clifford-det", cases, args.seed, elapsed, disc)
-    else:
-        report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
+    report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
     _emit(_report_text(report, args.format), args.out)
     print(
         f"{report.suite}: {report.passed} passed, {report.failed} failed "
@@ -292,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cdet = sub.add_parser("clifford-det", help="determinant-identity sweep only")
     add_verify_opts(p_cdet)
+    p_cdet.set_defaults(suite="clifford-det")
 
     return parser
 
@@ -303,14 +297,11 @@ def main(argv=None) -> int:
         return cmd_eval(args, parser)
     if args.command == "table":
         return cmd_table(args, parser)
-    if args.command == "verify":
+    if args.command in ("verify", "clifford-det"):
         return cmd_verify(args, parser)
     if args.command == "fock-map":
         args.kind = "fock"
         return cmd_table(args, parser)
-    if args.command == "clifford-det":
-        args.suite = "clifford"
-        return cmd_verify(args, parser, subset="det")
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -1,10 +1,29 @@
 """Verification suites: every module invariant as a reported, tolerated case.
 
-A suite produces a list of cases (id, params, both sides, residual,
-tolerance, pass flag) plus the registry of documented discrepancies between
-widely printed forms of the identities and the forms that actually close
-numerically.  ``run_verify`` assembles suites into a VerificationReport.
+A suite evaluates identities by two independent routes and writes what it
+measured into a private case recorder; it never builds a case, looks up a
+tolerance or picks a discrepancy-registry entry itself.  Who owns what:
 
+* ``TOLERANCES`` is the one table of default tolerances, keyed by check
+  family.  ``validate_tolerances`` checks overrides against it: every key
+  must name a family, every value must be a finite number >= 0.
+* ``_Recorder`` owns the case format (id, params, both sides, residual,
+  tolerance, pass flag), the tolerance lookup (an override first, then
+  ``TOLERANCES``) and the measured values of the documented printed-form
+  discrepancies, which it emits in ``discrepancy_registry`` order, filtered
+  to the ids its suite measured.
+* ``_suite`` makes a suite body public as ``suite(seed, tols, nodes) ->
+  (cases, discrepancies)``.  An exception raised in the body is recorded as
+  one failed ``suite_error[<suite>]`` case after the cases recorded before
+  it, so one fault does not abort a run; bad tolerance overrides still raise
+  before the body starts.
+* ``run_verify`` runs one suite, all four (in a thread pool, cases kept in
+  ``SUITES`` order), or ``clifford-det`` (the clifford suite's determinant
+  sweep alone), times the run and assembles the VerificationReport.
+* Suites reduce many residuals to one with ``_worst``, which keeps NaN, so a
+  NaN residual can never pass.
+
+Each suite draws its random checks in order from one seeded stream.
 Printed-variant failures are documented as *passing* cases that pin the
 failure quantitatively (e.g. the duplication formula misses by exactly a
 factor 2), so the report's overall pass flag stays equivalent to "every
@@ -17,6 +36,7 @@ import json
 import math
 import os
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,22 +116,6 @@ def _jsonify(value):
     return value
 
 
-def _case(case_id: str, params: dict, lhs, rhs, tolerance: float,
-          residual: float | None = None) -> dict:
-    lhs_c, rhs_c = complex(lhs), complex(rhs)
-    if residual is None:
-        residual = abs(lhs_c - rhs_c) / max(1.0, abs(lhs_c))
-    return {
-        "id": case_id,
-        "params": {k: _jsonify(v) for k, v in params.items()},
-        "lhs": _jsonify(lhs_c),
-        "rhs": _jsonify(rhs_c),
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
-    }
-
-
 def _worst(*values):
     """The largest of ``values``, or NaN if any of them is NaN.
 
@@ -125,10 +129,12 @@ def _worst(*values):
 
 
 def validate_tolerances(overrides: dict | None) -> dict:
-    """The tolerance overrides, after checking every key against TOLERANCES.
+    """The tolerance overrides, after checking every key and value.
 
-    Raises ValueError naming the unknown keys, so a mistyped override can
-    never be silently ignored.
+    Raises ValueError naming each key that is not in TOLERANCES and each
+    value that is not a finite number >= 0, so a mistyped override is never
+    silently ignored and a NaN, negative or infinite one never decides a
+    verdict.
     """
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(TOLERANCES))
@@ -137,11 +143,13 @@ def validate_tolerances(overrides: dict | None) -> dict:
             f"unknown tolerance key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(TOLERANCES))}"
         )
+    bad = sorted(k for k, v in overrides.items() if not (math.isfinite(v) and v >= 0.0))
+    if bad:
+        raise ValueError(
+            "tolerance values must be finite and >= 0, got "
+            + ", ".join(f"{k}={overrides[k]!r}" for k in bad)
+        )
     return overrides
-
-
-def _tol(overrides: dict, key: str) -> float:
-    return float(overrides.get(key, TOLERANCES[key]))
 
 
 @dataclass
@@ -297,15 +305,93 @@ def discrepancy_registry() -> dict:
     return {e["id"]: dict(e, measured={}) for e in entries}
 
 
+class _Recorder:
+    """One suite's cases and measured discrepancy values, in the report's format.
+
+    A suite hands each check to ``case`` (two sides) or ``residual`` (a
+    residual against 0) together with the TOLERANCES key that judges it,
+    and each measured discrepancy value to ``measure``.
+    """
+
+    def __init__(self, tols: dict | None):
+        self.tols = validate_tolerances(tols)
+        self.cases = []
+        self.measured = {}
+
+    def case(self, case_id: str, params: dict, lhs, rhs, key, residual: float | None = None):
+        """Record ``lhs`` against ``rhs``, judged by the tolerance of ``key``.
+
+        ``key`` is a TOLERANCES key, or the tolerance itself where the check
+        derives it from its own data.  The residual defaults to
+        |lhs - rhs| / max(1, |lhs|).
+        """
+        tolerance = self.tols.get(key, TOLERANCES[key]) if isinstance(key, str) else key
+        lhs_c, rhs_c = complex(lhs), complex(rhs)
+        if residual is None:
+            residual = abs(lhs_c - rhs_c) / max(1.0, abs(lhs_c))
+        self.cases.append({
+            "id": case_id,
+            "params": {k: _jsonify(v) for k, v in params.items()},
+            "lhs": _jsonify(lhs_c),
+            "rhs": _jsonify(rhs_c),
+            "residual": float(residual),
+            "tolerance": float(tolerance),
+            "passed": bool(residual <= tolerance),
+        })
+
+    def residual(self, case_id: str, params: dict, residual: float, key: str):
+        """Record a check whose outcome is a residual, measured against 0."""
+        self.case(case_id, params, residual, 0.0, key, residual=residual)
+
+    def measure(self, discrepancy_id: str, **values):
+        """Set the measured values of one discrepancy-registry entry."""
+        self.measured[discrepancy_id] = values
+
+    def error(self, suite: str, exc: Exception):
+        """Record ``exc``, raised inside ``suite``, as one failed case."""
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        self.case(f"suite_error[{suite}]", {
+            "suite": suite,
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }, math.nan, math.nan, 0.0)
+
+    def discrepancies(self) -> list:
+        """The registry entries this suite measured, in registry order."""
+        return [dict(entry, measured=self.measured[key])
+                for key, entry in discrepancy_registry().items() if key in self.measured]
+
+
+def _suite(name: str):
+    """Decorator: ``body(rec, seed, nodes)`` becomes the suite called ``name``.
+
+    The suite is ``(seed, tols, nodes) -> (cases, discrepancies)``; its body
+    writes into a fresh _Recorder.  An exception from the body becomes one
+    failed case that names the suite, the exception type and its message.
+    """
+    def decorate(body):
+        def suite(seed: int = DEFAULT_SEED, tols: dict | None = None,
+                  nodes: int | None = None) -> tuple:
+            rec = _Recorder(tols)
+            try:
+                body(rec, seed, nodes)
+            except Exception as exc:  # a suite's fault fails its run, not the others'
+                rec.error(name, exc)
+            return rec.cases, rec.discrepancies()
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        return suite
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # hydrogen suite
 # ---------------------------------------------------------------------------
 
-def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
-                   nodes: int | None = None) -> tuple:
-    tols = validate_tolerances(tols)
-    cases = []
-    disc = discrepancy_registry()
+@_suite("hydrogen")
+def suite_hydrogen(rec, seed, nodes):
     hankel_nodes = nodes or 300
     overlap_nodes = max(nodes or 0, 200)
 
@@ -314,10 +400,10 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
     closed0 = abs(hydrogen.psi_momentum(specfun.QuantumNumbers(1, 0, 0), (0.0, 0.0, 0.0)))
     y00 = 1.0 / math.sqrt(4.0 * math.pi)
     oracle0 = abs(quadrature.radial_hankel(1, 0, 0.0, npts=hankel_nodes)) * y00
-    tol = _tol(tols, "ground_momentum_amplitude")
-    cases.append(_case("ground_momentum_amplitude[closed]", {"n": 1}, closed0, target, tol))
-    cases.append(_case("ground_momentum_amplitude[hankel]", {"n": 1}, oracle0, target, tol))
-    cases.append(_case("ground_momentum_amplitude[cross]", {"n": 1}, closed0, oracle0, tol))
+    key = "ground_momentum_amplitude"
+    rec.case("ground_momentum_amplitude[closed]", {"n": 1}, closed0, target, key)
+    rec.case("ground_momentum_amplitude[hankel]", {"n": 1}, oracle0, target, key)
+    rec.case("ground_momentum_amplitude[cross]", {"n": 1}, closed0, oracle0, key)
 
     # Fourier consistency sweep with per-(n, l) phase units
     phase_units = {}
@@ -330,30 +416,18 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             mod_resid = float(np.max(
                 np.abs(np.abs(f_hankel) - np.abs(f_closed)) / np.abs(f_closed)
             ))
-            tol = _tol(tols, "fourier_modulus")
-            cases.append(_case(
-                f"fourier_modulus[n={n},l={l}]", {"n": n, "l": l},
-                mod_resid, 0.0, tol, residual=mod_resid,
-            ))
+            rec.residual(f"fourier_modulus[n={n},l={l}]", {"n": n, "l": l},
+                         mod_resid, "fourier_modulus")
             ratio = f_hankel / f_closed
             unit = complex(np.mean(ratio))
             spread = float(np.max(np.abs(ratio - unit)))
             phase_units[f"(n={n},l={l})"] = _jsonify(unit)
-            tol = _tol(tols, "fourier_phase_constancy")
-            cases.append(_case(
-                f"fourier_phase_constancy[n={n},l={l}]",
-                {"n": n, "l": l, "phase_unit": unit},
-                spread, 0.0, tol, residual=spread,
-            ))
-            tol = _tol(tols, "fourier_phase_value")
-            cases.append(_case(
-                f"fourier_phase_value[n={n},l={l}]", {"n": n, "l": l},
-                unit, (-1.0 + 0.0j) ** l, tol,
-            ))
-    disc["momentum-phase-il"]["measured"] = {
-        "offset_per_nl": phase_units,
-        "pattern": "(-1)^l",
-    }
+            rec.residual(f"fourier_phase_constancy[n={n},l={l}]",
+                         {"n": n, "l": l, "phase_unit": unit},
+                         spread, "fourier_phase_constancy")
+            rec.case(f"fourier_phase_value[n={n},l={l}]", {"n": n, "l": l},
+                     unit, (-1.0 + 0.0j) ** l, "fourier_phase_value")
+    rec.measure("momentum-phase-il", offset_per_nl=phase_units, pattern="(-1)^l")
 
     # position-space Gram matrices at fixed (l, m)
     for l in range(3):
@@ -363,19 +437,14 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             for n1 in ns
         ])
         resid = float(np.max(np.abs(gram - np.eye(len(ns)))))
-        tol = _tol(tols, "gram_position")
-        cases.append(_case(
-            f"gram_position[l={l}]", {"l": l, "n_max": 6}, resid, 0.0, tol, residual=resid,
-        ))
+        rec.residual(f"gram_position[l={l}]", {"l": l, "n_max": 6}, resid, "gram_position")
 
     # momentum-space norms
     for n in range(1, 6):
         for l in range(n):
             norm = hydrogen.momentum_norm(n, l, npts=overlap_nodes)
-            tol = _tol(tols, "momentum_norm")
-            cases.append(_case(
-                f"momentum_norm[n={n},l={l}]", {"n": n, "l": l}, norm, 1.0, tol,
-            ))
+            rec.case(f"momentum_norm[n={n},l={l}]", {"n": n, "l": l}, norm, 1.0,
+                     "momentum_norm")
 
     # Gegenbauer-argument identity of the momentum denominator
     rng = np.random.default_rng(seed)
@@ -388,10 +457,8 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         x = (p2 - delta ** 2) / (p2 + delta ** 2)
         rhs = (p2 + delta ** 2) * (1 - 2 * z * x + z ** 2)
         worst = _worst(worst, abs(lhs - rhs) / abs(lhs))
-    tol = _tol(tols, "fock_argument_identity")
-    cases.append(_case(
-        "fock_argument_identity[random]", {"trials": 200}, worst, 0.0, tol, residual=worst,
-    ))
+    rec.residual("fock_argument_identity[random]", {"trials": 200}, worst,
+                 "fock_argument_identity")
 
     # radial node counts
     for n in range(1, 6):
@@ -401,11 +468,8 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
             signs = np.sign(vals)
             signs = signs[signs != 0]
             changes = int(np.sum(signs[1:] != signs[:-1]))
-            tol = _tol(tols, "node_count")
-            cases.append(_case(
-                f"node_count[n={n},l={l}]", {"n": n, "l": l},
-                changes, n - l - 1, tol, residual=abs(changes - (n - l - 1)),
-            ))
+            rec.case(f"node_count[n={n},l={l}]", {"n": n, "l": l},
+                     changes, n - l - 1, "node_count", residual=abs(changes - (n - l - 1)))
 
     # generating-function coefficient extraction
     extraction_ratios = {}
@@ -420,11 +484,8 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         got = np.array([coeff(pt) / scale for pt in pts_pos])
         want = np.array([hydrogen.psi_position(qn, pt) for pt in pts_pos])
         resid = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        tol = _tol(tols, "extraction_position")
-        cases.append(_case(
-            f"extraction_position[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
-            resid, 0.0, tol, residual=resid,
-        ))
+        rec.residual(f"extraction_position[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
+                     resid, "extraction_position")
 
         coeff = hydrogen.extract_coefficient("momentum", qn, n)
         got = np.array([coeff(pt) / scale for pt in pts_mom])
@@ -433,21 +494,13 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         unit = complex(np.mean(got[big] / want[big]))
         extraction_ratios[f"(n={n},l={l})"] = _jsonify(unit)
         resid = float(np.max(np.abs(got - unit * want)) / np.max(np.abs(want)))
-        tol = _tol(tols, "extraction_momentum")
-        cases.append(_case(
-            f"extraction_momentum[n={n},l={l},m={m}]",
-            {"n": n, "l": l, "m": m, "phase_unit": unit},
-            resid, 0.0, tol, residual=resid,
-        ))
-        tol = _tol(tols, "extraction_momentum_phase")
-        cases.append(_case(
-            f"extraction_momentum_phase[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
-            unit, (-1.0 + 0.0j) ** l, tol,
-        ))
-    disc["expansion-weight-bookkeeping"]["measured"] = {
-        "position_ratio": 1.0,
-        "momentum_ratio_per_nl": extraction_ratios,
-    }
+        rec.residual(f"extraction_momentum[n={n},l={l},m={m}]",
+                     {"n": n, "l": l, "m": m, "phase_unit": unit},
+                     resid, "extraction_momentum")
+        rec.case(f"extraction_momentum_phase[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
+                 unit, (-1.0 + 0.0j) ** l, "extraction_momentum_phase")
+    rec.measure("expansion-weight-bookkeeping",
+                position_ratio=1.0, momentum_ratio_per_nl=extraction_ratios)
 
     # regulator-derivative link by central finite difference
     rng = np.random.default_rng(seed + 99)
@@ -465,49 +518,35 @@ def suite_hydrogen(seed: int = DEFAULT_SEED, tols: dict | None = None,
         fd = -(gp - gm) / (2.0 * h)
         exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pvec, delta)
         worst = _worst(worst, abs(fd - exact) / abs(exact))
-    tol = _tol(tols, "regulator_derivative_link")
-    cases.append(_case(
-        "regulator_derivative_link[random]", {"trials": 10}, worst, 0.0, tol, residual=worst,
-    ))
+    rec.residual("regulator_derivative_link[random]", {"trials": 10}, worst,
+                 "regulator_derivative_link")
 
-    disc["laguerre-generating-convention"]["measured"] = {
-        "radial_10_check": abs(hydrogen.radial_position(1, 0, 1.0) - 2.0 * math.exp(-1.0)),
-    }
-    used = [
-        "laguerre-generating-convention", "momentum-phase-il",
-        "expansion-weight-bookkeeping",
-    ]
-    return cases, [disc[k] for k in used]
+    rec.measure("laguerre-generating-convention",
+                radial_10_check=abs(hydrogen.radial_position(1, 0, 1.0) - 2.0 * math.exp(-1.0)))
 
 
 # ---------------------------------------------------------------------------
 # quadratic-maps suite
 # ---------------------------------------------------------------------------
 
-def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
-               nodes: int | None = None) -> tuple:
-    tols = validate_tolerances(tols)
-    cases = []
-    disc = discrepancy_registry()
+@_suite("maps")
+def suite_maps(rec, seed, nodes):
     rng = np.random.default_rng(seed)
 
     u2 = rng.normal(size=(200, 2))
     xp, yp, rp = quadmaps.levi_civita(u2)
     resid = float(np.max(np.abs(xp ** 2 + yp ** 2 - rp ** 2) / rp ** 2))
-    cases.append(_case("levi_civita_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "levi_civita_norm"), residual=resid))
+    rec.residual("levi_civita_norm[random]", {"trials": 200}, resid, "levi_civita_norm")
 
     u4 = rng.normal(size=(200, 4))
     xyz, r = quadmaps.ks_map(u4)
     resid = float(np.max(np.abs(np.sum(xyz ** 2, axis=-1) - r ** 2) / r ** 2))
-    cases.append(_case("ks_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "ks_norm"), residual=resid))
+    rec.residual("ks_norm[random]", {"trials": 200}, resid, "ks_norm")
 
     u8 = rng.normal(size=(200, 8))
     x5, r8 = quadmaps.hurwitz_map(u8)
     resid = float(np.max(np.abs(np.sum(x5 ** 2, axis=-1) - r8 ** 2) / r8 ** 2))
-    cases.append(_case("hurwitz_norm[random]", {"trials": 200}, resid, 0.0,
-                       _tol(tols, "hurwitz_norm"), residual=resid))
+    rec.residual("hurwitz_norm[random]", {"trials": 200}, resid, "hurwitz_norm")
 
     # Cayley-Klein round trip and fiber invariance
     worst_rt = 0.0
@@ -524,11 +563,10 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
         for psi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
             img = quadmaps.ks_map(quadmaps.cayley_klein(r0, th, ph, psi))[0]
             worst_fiber = _worst(worst_fiber, float(np.max(np.abs(img - base))) / r0)
-    cases.append(_case("cayley_klein_roundtrip[random]", {"trials": 25}, worst_rt, 0.0,
-                       _tol(tols, "cayley_klein_roundtrip"), residual=worst_rt))
-    cases.append(_case("ks_fiber_invariance[psi-grid]", {"trials": 25, "psi_points": 32},
-                       worst_fiber, 0.0,
-                       _tol(tols, "ks_fiber_invariance"), residual=worst_fiber))
+    rec.residual("cayley_klein_roundtrip[random]", {"trials": 25}, worst_rt,
+                 "cayley_klein_roundtrip")
+    rec.residual("ks_fiber_invariance[psi-grid]", {"trials": 25, "psi_points": 32},
+                 worst_fiber, "ks_fiber_invariance")
 
     # Jacobian spot check: det d(x,y,z,psi)/du = 8|u|^2
     worst = 0.0
@@ -548,35 +586,30 @@ def suite_maps(seed: int = DEFAULT_SEED, tols: dict | None = None,
         det = abs(np.linalg.det(jac))
         expect = 8.0 * float(u @ u)
         worst = _worst(worst, abs(det - expect) / expect)
-    cases.append(_case("ks_jacobian[fd]", {"trials": 5}, worst, 0.0,
-                       _tol(tols, "ks_jacobian"), residual=worst))
+    rec.residual("ks_jacobian[fd]", {"trials": 5}, worst, "ks_jacobian")
 
     # measure identity through the lift
     hrule = quadrature.gauss_hermite(nodes or 28)
     res = quadmaps.ks_integral(lambda p: np.exp(-np.linalg.norm(p, axis=-1)), rule=hrule)
-    cases.append(_case("ks_integral_exp[quadrature]", {"f": "exp(-r)"},
-                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral")))
+    rec.case("ks_integral_exp[quadrature]", {"f": "exp(-r)"},
+             res.value, 8.0 * math.pi, "ks_integral")
     res = quadmaps.ks_integral(lambda p: np.exp(-np.sum(p ** 2, axis=-1)), rule=hrule)
-    cases.append(_case("ks_integral_gauss[quadrature]", {"f": "exp(-r^2)"},
-                       res.value, math.pi ** 1.5, _tol(tols, "ks_integral")))
+    rec.case("ks_integral_gauss[quadrature]", {"f": "exp(-r^2)"},
+             res.value, math.pi ** 1.5, "ks_integral")
     res = quadmaps.ks_integral(
         lambda p: np.exp(-np.linalg.norm(p, axis=-1)), method="mc",
         samples=1_000_000, seed=seed,
     )
-    cases.append(_case("ks_integral_exp[mc]", {"f": "exp(-r)", "stderr": res.error},
-                       res.value, 8.0 * math.pi, _tol(tols, "ks_integral")))
+    rec.case("ks_integral_exp[mc]", {"f": "exp(-r)", "stderr": res.error},
+             res.value, 8.0 * math.pi, "ks_integral")
+    rec.measure("ks-lift-bookkeeping",
+                exp_integral_relative_error=abs(res.value - 8.0 * math.pi) / (8.0 * math.pi))
     res = quadmaps.ks_integral(
         lambda p: (np.sum(p ** 2, axis=-1) < 1.0).astype(float), method="mc",
         samples=1_000_000, seed=seed + 1,
     )
-    cases.append(_case("ks_integral_ball[mc]", {"f": "1(r<1)", "stderr": res.error},
-                       res.value, 4.0 * math.pi / 3.0, _tol(tols, "ks_integral_mc")))
-
-    entry = disc["ks-lift-bookkeeping"]
-    entry["measured"] = {
-        "exp_integral_relative_error": abs(cases[-2]["lhs"][0] - 8.0 * math.pi) / (8.0 * math.pi),
-    }
-    return cases, [entry]
+    rec.case("ks_integral_ball[mc]", {"f": "1(r<1)", "stderr": res.error},
+             res.value, 4.0 * math.pi / 3.0, "ks_integral_mc")
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +628,8 @@ def _printed_level3(x) -> np.ndarray:
     ])
 
 
-def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
-                   nodes: int | None = None, subset: str = "full") -> tuple:
-    tols = validate_tolerances(tols)
-    cases = []
-    disc = discrepancy_registry()
-    rng = np.random.default_rng(seed)
-
-    # determinant identity sweep: 200 trials per level
+def _det_sweep(rec, rng):
+    """The determinant identity at 200 random points per level 1..5."""
     for n in range(1, 6):
         npar = 3 if n == 1 else 2 * n
         for trial in range(200):
@@ -610,16 +637,17 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
             alpha = rng.uniform(-1.0, 1.0) * 0.5 / (1.0 + float(np.linalg.norm(x)))
             res = clifford.det_identity(n, x, alpha)
             rel = res.residual / abs(res.closed_form)
-            cases.append(_case(
-                f"det_identity[n={n},trial={trial}]",
-                {"n": n, "alpha": alpha},
-                res.value, res.closed_form,
-                _tol(tols, "det_identity"), residual=rel,
-            ))
-    if subset == "det":
-        return cases, []
+            rec.case(f"det_identity[n={n},trial={trial}]", {"n": n, "alpha": alpha},
+                     res.value, res.closed_form, "det_identity", residual=rel)
+
+
+@_suite("clifford")
+def suite_clifford(rec, seed, nodes):
+    rng = np.random.default_rng(seed)
+    _det_sweep(rec, rng)
 
     # exact algebraic relations
+    anticommutator = 0.0
     for n in range(1, 7):
         gam = clifford.gammas(n)
         eye = np.eye(gam[0].shape[0])
@@ -628,15 +656,10 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
             worst = _worst(worst, float(np.max(np.abs(gi @ gi + eye))))
             for gj in gam[i + 1:-1]:
                 worst = _worst(worst, float(np.max(np.abs(gi @ gj + gj @ gi))))
-        cases.append(_case(
-            f"gamma_relations[n={n}]", {"n": n}, worst, 0.0,
-            _tol(tols, "gamma_relations"), residual=worst,
-        ))
+        rec.residual(f"gamma_relations[n={n}]", {"n": n}, worst, "gamma_relations")
+        anticommutator = _worst(anticommutator, worst)
         ident = float(np.max(np.abs(gam[-1] - eye)))
-        cases.append(_case(
-            f"gamma_last_identity[n={n}]", {"n": n}, ident, 0.0,
-            _tol(tols, "gamma_relations"), residual=ident,
-        ))
+        rec.residual(f"gamma_last_identity[n={n}]", {"n": n}, ident, "gamma_relations")
 
         npar = 3 if n == 1 else 2 * n
         x = rng.normal(size=npar)
@@ -645,17 +668,12 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         ay = clifford.build_A(n, y).entries
         axy = clifford.build_A(n, x + y).entries
         lin = 0.0 if np.array_equal(axy, ax + ay) else float(np.max(np.abs(axy - (ax + ay))))
-        cases.append(_case(
-            f"linearity[n={n}]", {"n": n}, lin, 0.0,
-            _tol(tols, "linearity"), residual=lin,
-        ))
+        rec.residual(f"linearity[n={n}]", {"n": n}, lin, "linearity")
         normality = float(np.max(np.abs(
             ax @ ax.conj().T - float(x @ x) * np.eye(ax.shape[0])
         ))) / float(x @ x)
-        cases.append(_case(
-            f"normality[n={n}]", {"n": n}, normality, 0.0,
-            _tol(tols, "normality"), residual=normality,
-        ))
+        rec.residual(f"normality[n={n}]", {"n": n}, normality, "normality")
+    rec.measure("gamma-anticommutator-sign", anticommutator_max_residual=anticommutator)
 
     # printed low-level matrices: level 2 matches entrywise, level 3 only
     # structurally (same normality and determinant identity)
@@ -666,66 +684,54 @@ def suite_clifford(seed: int = DEFAULT_SEED, tols: dict | None = None,
         [-x4[1] + 1j * x4[0], x4[3] - 1j * x4[2]],
     ])
     resid = float(np.max(np.abs(a2 - printed2)))
-    cases.append(_case("level2_entrywise[printed]", {}, resid, 0.0,
-                       _tol(tols, "level2_entrywise"), residual=resid))
+    rec.residual("level2_entrywise[printed]", {}, resid, "level2_entrywise")
 
     x6 = rng.normal(size=6)
     p3 = _printed_level3(x6)
     norm_resid = float(np.max(np.abs(
         p3 @ p3.conj().T - float(x6 @ x6) * np.eye(4)
     ))) / float(x6 @ x6)
-    cases.append(_case("level3_printed_normality[printed]", {}, norm_resid, 0.0,
-                       _tol(tols, "normality"), residual=norm_resid))
+    rec.residual("level3_printed_normality[printed]", {}, norm_resid, "normality")
     alpha = 0.11
     detp = complex(np.linalg.det(np.eye(4) - alpha * p3))
     closed = complex(1.0 - 2.0 * alpha * x6[5] + alpha ** 2 * float(x6 @ x6)) ** 2
-    cases.append(_case("level3_printed_det[printed]", {"alpha": alpha}, detp, closed,
-                       _tol(tols, "det_identity")))
+    rec.case("level3_printed_det[printed]", {"alpha": alpha}, detp, closed, "det_identity")
     mismatch = float(np.max(np.abs(clifford.build_A(3, x6).entries - p3)))
-    disc["level3-entrywise-variant"]["measured"] = {
-        "max_entry_difference": mismatch,
-        "printed_det_identity_residual": abs(detp - closed) / abs(closed),
-    }
-    disc["gamma-anticommutator-sign"]["measured"] = {
-        "anticommutator_max_residual": 0.0,
-    }
+    rec.measure("level3-entrywise-variant", max_entry_difference=mismatch,
+                printed_det_identity_residual=abs(detp - closed) / abs(closed))
 
-    # Monte Carlo cross-check of the Gaussian closed form
+    # Monte Carlo cross-check of the Gaussian closed form, judged at 3 sigma
     for (n, x, alpha) in [
         (2, (0.0, 0.0, 0.0, 0.5), 0.3),
         (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.2),
     ]:
         res = clifford.gaussian_mc(n, x, alpha, samples=1_000_000, seed=seed + n)
-        cases.append(_case(
-            f"gaussian_mc[n={n}]",
-            {"n": n, "alpha": alpha, "stderr": res.stderr, "samples": 1_000_000},
-            res.value, res.closed_form,
-            3.0 * res.stderr, residual=res.residual,
-        ))
+        rec.case(f"gaussian_mc[n={n}]",
+                 {"n": n, "alpha": alpha, "stderr": res.stderr, "samples": 1_000_000},
+                 res.value, res.closed_form, 3.0 * res.stderr, residual=res.residual)
 
     # Gegenbauer-series form of the closed result
     chi = 0.8
     resid = clifford.gegenbauer_series_check(
         1, (0.3, 0.2, math.cos(chi)), 0.4, 200
     )
-    cases.append(_case("gegenbauer_series[n=1]", {"alpha": 0.4}, resid, 0.0,
-                       _tol(tols, "gegenbauer_series"), residual=resid))
+    rec.residual("gegenbauer_series[n=1]", {"alpha": 0.4}, resid, "gegenbauer_series")
     resid = clifford.gegenbauer_series_check(2, (0.5, 0.5, 0.5, 0.5), 0.4, 80)
-    cases.append(_case("gegenbauer_series[n=2]", {"alpha": 0.4}, resid, 0.0,
-                       _tol(tols, "gegenbauer_series"), residual=resid))
+    rec.residual("gegenbauer_series[n=2]", {"alpha": 0.4}, resid, "gegenbauer_series")
 
-    return cases, [disc["gamma-anticommutator-sign"], disc["level3-entrywise-variant"]]
+
+@_suite("clifford-det")
+def _clifford_det(rec, seed, nodes):
+    # the clifford suite's determinant sweep alone, from the same first draws
+    _det_sweep(rec, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
 # identities suite
 # ---------------------------------------------------------------------------
 
-def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
-                     nodes: int | None = None) -> tuple:
-    tols = validate_tolerances(tols)
-    cases = []
-    disc = discrepancy_registry()
+@_suite("identities")
+def suite_identities(rec, seed, nodes):
     rng = np.random.default_rng(seed)
 
     # generating function of the Gegenbauer family
@@ -734,10 +740,8 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         for t in (-0.5, -0.25, 0.25, 0.5):
             for x in np.linspace(-1.0, 1.0, 9):
                 worst = _worst(worst, identities.genfunc_gegenbauer(a, t, float(x)).residual)
-        cases.append(_case(
-            f"genfunc_gegenbauer[a={a}]", {"a": a, "t_max": 0.5}, worst, 0.0,
-            _tol(tols, "genfunc_gegenbauer"), residual=worst,
-        ))
+        rec.residual(f"genfunc_gegenbauer[a={a}]", {"a": a, "t_max": 0.5}, worst,
+                     "genfunc_gegenbauer")
 
     # order-lowering recurrence
     for a in (1.5, 2.0, 3.0, 4.5, 6.0):
@@ -746,10 +750,8 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             for x in np.linspace(-1.0, 1.0, 9):
                 scale = max(1.0, abs(specfun.gegenbauer(n + 1, a, float(x))))
                 worst = _worst(worst, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
-        cases.append(_case(
-            f"gegenbauer_recurrence[a={a}]", {"a": a, "n_max": 20}, worst, 0.0,
-            _tol(tols, "gegenbauer_recurrence"), residual=worst,
-        ))
+        rec.residual(f"gegenbauer_recurrence[a={a}]", {"a": a, "n_max": 20}, worst,
+                     "gegenbauer_recurrence")
 
     # Bessel-weighted generating function
     for a in (1.0, 1.5, 2.0, 2.5, 3.0):
@@ -757,16 +759,14 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         for z in (0.5, 2.0, 5.0):
             for chi in (0.3, 0.5 * math.pi, 2.5):
                 worst = _worst(worst, identities.bessel_genfunc(a, z, chi).residual)
-        cases.append(_case(
-            f"bessel_genfunc[a={a}]", {"a": a, "z_max": 5.0}, worst, 0.0,
-            _tol(tols, "bessel_genfunc"), residual=worst,
-        ))
+        rec.residual(f"bessel_genfunc[a={a}]", {"a": a, "z_max": 5.0}, worst,
+                     "bessel_genfunc")
 
     # integral representation: l = 0 closes exactly, kappa is chi-independent
     quad_nodes = nodes or 200
     r0 = identities.integral_rep(0, 0.5, 1.0, quad_nodes)
-    cases.append(_case("integral_rep_l0[closed]", {"alpha": 0.5, "chi": 1.0},
-                       r0.rhs, r0.lhs, _tol(tols, "integral_rep_l0")))
+    rec.case("integral_rep_l0[closed]", {"alpha": 0.5, "chi": 1.0},
+             r0.rhs, r0.lhs, "integral_rep_l0")
     kappas = {}
     for l in range(4):
         for alpha in (0.3, 0.6):
@@ -774,18 +774,13 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             vals = [identities.integral_rep(l, alpha, float(c), quad_nodes).kappa for c in chis]
             target = 2.0 ** l * math.factorial(l)
             spread = (_worst(*vals) - min(vals)) / target
-            cases.append(_case(
-                f"integral_rep_kappa_constancy[l={l},alpha={alpha}]",
-                {"l": l, "alpha": alpha}, spread, 0.0,
-                _tol(tols, "integral_rep_constancy"), residual=spread,
-            ))
-            cases.append(_case(
-                f"integral_rep_kappa_value[l={l},alpha={alpha}]",
-                {"l": l, "alpha": alpha}, float(np.mean(vals)), target,
-                _tol(tols, "integral_rep_value"),
-            ))
+            rec.residual(f"integral_rep_kappa_constancy[l={l},alpha={alpha}]",
+                         {"l": l, "alpha": alpha}, spread, "integral_rep_constancy")
+            rec.case(f"integral_rep_kappa_value[l={l},alpha={alpha}]",
+                     {"l": l, "alpha": alpha}, float(np.mean(vals)), target,
+                     "integral_rep_value")
             kappas[f"(l={l},alpha={alpha})"] = float(np.mean(vals))
-    disc["integral-representation-prefactor"]["measured"] = {"kappa": kappas}
+    rec.measure("integral-representation-prefactor", kappa=kappas)
 
     # plane-wave expansion
     worst = 0.0
@@ -795,32 +790,25 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
         rp = rng.normal(size=3)
         rp /= np.linalg.norm(rp)
         worst = _worst(worst, identities.plane_wave_partial(rv, rp, 25).residual)
-    cases.append(_case("plane_wave[rrp=sqrt2,L=25]", {"L": 25}, worst, 0.0,
-                       _tol(tols, "plane_wave"), residual=worst))
+    rec.residual("plane_wave[rrp=sqrt2,L=25]", {"L": 25}, worst, "plane_wave")
     rv = np.array([5.0, 0.0, 0.0])
     rp = np.array([0.3, 0.8, 0.52])
     rp /= np.linalg.norm(rp)
     tail = [identities.plane_wave_partial(rv, rp, L).residual for L in (10, 15, 20, 25, 30)]
     decreasing = all(b < a for a, b in zip(tail, tail[1:]))
-    cases.append(_case("plane_wave_tail_monotone[rrp=5]", {"L_list": [10, 15, 20, 25, 30]},
-                       0.0 if decreasing else 1.0, 0.0,
-                       _tol(tols, "plane_wave_tail"),
-                       residual=0.0 if decreasing else 1.0))
+    rec.residual("plane_wave_tail_monotone[rrp=5]", {"L_list": [10, 15, 20, 25, 30]},
+                 0.0 if decreasing else 1.0, "plane_wave_tail")
 
     # duplication formula, printed and corrected variants
     for n in (0, 1, 5):
         chk = identities.duplication_check(n)
-        cases.append(_case(
-            f"duplication_printed_factor2[n={n}]", {"n": n},
-            chk.printed, 0.5, _tol(tols, "duplication_printed"),
-        ))
+        rec.case(f"duplication_printed_factor2[n={n}]", {"n": n},
+                 chk.printed, 0.5, "duplication_printed")
     worst = _worst(*(identities.duplication_check(n).corrected for n in range(11)))
-    cases.append(_case("duplication_corrected[n<=10]", {"n_max": 10}, worst, 0.0,
-                       _tol(tols, "duplication_corrected"), residual=worst))
-    disc["duplication-formula-power"]["measured"] = {
-        "printed_residual_at_n1": identities.duplication_check(1).printed,
-        "corrected_max_residual": worst,
-    }
+    rec.residual("duplication_corrected[n<=10]", {"n_max": 10}, worst, "duplication_corrected")
+    rec.measure("duplication-formula-power",
+                printed_residual_at_n1=identities.duplication_check(1).printed,
+                corrected_max_residual=worst)
 
     # hyperspherical orthonormality on the 3-sphere
     s3 = quadrature.s3_rule(24, 24, 25)
@@ -837,9 +825,8 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
             val = complex(np.sum(w3d * np.conj(fi) * fj))
             want = 1.0 if i == j2 else 0.0
             worst = _worst(worst, abs(val - want))
-    cases.append(_case("hyperspherical_orthonormality[n<=3]",
-                       {"states": len(states)}, worst, 0.0,
-                       _tol(tols, "hyperspherical_orthonormality"), residual=worst))
+    rec.residual("hyperspherical_orthonormality[n<=3]", {"states": len(states)}, worst,
+                 "hyperspherical_orthonormality")
 
     # harmonicity of the homogeneous extension (4-D five-point Laplacian)
     worst = 0.0
@@ -861,16 +848,13 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                 )
             lap /= h * h
             worst = _worst(worst, abs(lap))
-    cases.append(_case("hyperspherical_harmonicity[fd]", {"h": h}, worst, 0.0,
-                       _tol(tols, "hyperspherical_harmonicity"), residual=worst))
-    disc["hyperspherical-radial-exponent"]["measured"] = {
-        "fd_laplacian_max": worst,
-    }
+    rec.residual("hyperspherical_harmonicity[fd]", {"h": h}, worst,
+                 "hyperspherical_harmonicity")
+    rec.measure("hyperspherical-radial-exponent", fd_laplacian_max=worst)
 
     # triple-D Haar integral against 3j products
     worst_sel = 0.0
     for n in (2, 3, 4):
-        j = 0.5 * (n - 1)
         for l in range(1, min(3, n) + 1):
             worst = 0.0
             for tm1 in range(-(n - 1), n, 2):
@@ -882,12 +866,8 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                             worst = _worst(worst, chk.residual)
                         else:
                             worst_sel = _worst(worst_sel, chk.residual)
-            cases.append(_case(
-                f"triple_D[n={n},l={l}]", {"n": n, "l": l}, worst, 0.0,
-                _tol(tols, "triple_D"), residual=worst,
-            ))
-    cases.append(_case("triple_D_selection_zero[all]", {}, worst_sel, 0.0,
-                       _tol(tols, "triple_D_selection"), residual=worst_sel))
+            rec.residual(f"triple_D[n={n},l={l}]", {"n": n, "l": l}, worst, "triple_D")
+    rec.residual("triple_D_selection_zero[all]", {}, worst_sel, "triple_D_selection")
 
     # passage between the 4-D harmonics and D-matrix elements
     phases = {}
@@ -903,21 +883,11 @@ def suite_identities(seed: int = DEFAULT_SEED, tols: dict | None = None,
                     ph = rng.uniform(0.0, 2.0 * math.pi)
                     chk = identities.passage_residual(n, l, m, chi, th, ph, phase=phase)
                     worst = _worst(worst, chk.residual)
-            cases.append(_case(
-                f"passage[n={n},l={l}]", {"n": n, "l": l, "phase": phase}, worst, 0.0,
-                _tol(tols, "passage"), residual=worst,
-            ))
-            cases.append(_case(
-                f"passage_phase_unit[n={n},l={l}]", {"n": n, "l": l},
-                phase, 1.0 + 0.0j, _tol(tols, "passage_phase"),
-            ))
-    disc["passage-formula-m-structure"]["measured"] = {"phase_per_nl": phases}
-
-    used = [
-        "integral-representation-prefactor", "hyperspherical-radial-exponent",
-        "passage-formula-m-structure", "duplication-formula-power",
-    ]
-    return cases, [disc[k] for k in used]
+            rec.residual(f"passage[n={n},l={l}]", {"n": n, "l": l, "phase": phase}, worst,
+                         "passage")
+            rec.case(f"passage_phase_unit[n={n},l={l}]", {"n": n, "l": l},
+                     phase, 1.0 + 0.0j, "passage_phase")
+    rec.measure("passage-formula-m-structure", phase_per_nl=phases)
 
 
 # ---------------------------------------------------------------------------
@@ -934,18 +904,26 @@ SUITES = {
 
 def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
                nodes: int | None = None) -> VerificationReport:
-    """Run one named suite (or "all") and assemble the report."""
-    if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    """Run one named suite, "all" of them, or "clifford-det" (the clifford
+    suite's determinant sweep alone), and assemble the report."""
+    if suite == "all":
+        runs = list(SUITES.values())
+    elif suite in SUITES:
+        runs = [SUITES[suite]]
+    elif suite == "clifford-det":
+        runs = [_clifford_det]
+    else:
+        raise ValueError(
+            f"unknown suite {suite!r}; choose from {sorted(SUITES)}, 'all' or 'clifford-det'"
+        )
     t0 = time.perf_counter()
-    names = list(SUITES) if suite == "all" else [suite]
-    workers = min(len(names), os.cpu_count() or 1)
+    workers = min(len(runs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(SUITES[name], seed, tols, nodes) for name in names]
+            futures = [pool.submit(run, seed, tols, nodes) for run in runs]
             results = [f.result() for f in futures]
     else:
-        results = [SUITES[name](seed, tols, nodes) for name in names]
+        results = [run(seed, tols, nodes) for run in runs]
     cases = []
     discrepancies = []
     for cs, ds in results:

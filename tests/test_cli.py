@@ -185,6 +185,14 @@ def test_verify_unknown_tol_key_exits_2(command):
     assert "ks_integral_typo" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_verify_tol_value_not_finite_or_negative_exits_2(value):
+    proc = run_cli("verify", "maps", "--tol", f"ks_integral={value}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "finite and >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_nodes_out_of_range_exits_2():
     for nodes in ("0", "1", "4097"):
         proc = run_cli("verify", "hydrogen", "--nodes", nodes)

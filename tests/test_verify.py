@@ -2,10 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from fockspace import identities, verify
+from fockspace import cli, clifford, hydrogen, identities, verify
+from fockspace.errors import ConvergenceError
+
+CASE_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_case_ids.txt"
 
 
 @pytest.mark.parametrize("name", ["hydrogen", "maps", "clifford", "identities"])
@@ -84,3 +88,61 @@ def test_nan_residual_fails_its_case(monkeypatch):
         "genfunc_gegenbauer[a=2.0]": True,
         "genfunc_gegenbauer[a=3.0]": True,
     }
+
+
+def test_all_case_ids_and_discrepancy_order():
+    report = verify.run_verify("all", seed=42)
+    assert [c["id"] for c in report.cases] == CASE_IDS.read_text().split()
+    assert [d["id"] for d in report.paper_discrepancies] == list(verify.discrepancy_registry())
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+def test_bad_tolerance_value_rejected(value):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        verify.run_verify("maps", seed=42, tols={"ks_integral": value})
+
+
+def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path):
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("Cauchy circle did not converge", residual=1.0)
+
+    monkeypatch.setattr(hydrogen, "extract_coefficient", diverge)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "all", "--seed", "42", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    # hydrogen keeps the cases before the fault; the other suites are whole
+    ids = CASE_IDS.read_text().split()
+    fault = ids.index("extraction_position[n=1,l=0,m=0]")
+    rest = ids.index("levi_civita_norm[random]")
+    assert [c["id"] for c in report["cases"]] == (
+        ids[:fault] + ["suite_error[hydrogen]"] + ids[rest:]
+    )
+    error = next(c for c in report["cases"] if c["id"] == "suite_error[hydrogen]")
+    assert error["passed"] is False
+    assert error["params"]["suite"] == "hydrogen"
+    assert error["params"]["error"] == "ConvergenceError"
+    assert error["params"]["message"] == "Cauchy circle did not converge"
+    assert report["failed"] == 1
+
+
+def test_gamma_anticommutator_residual_is_measured(monkeypatch):
+    genuine = clifford.gammas
+
+    def skewed(n):
+        gam = genuine(n)
+        return (1.5 * gam[0],) + gam[1:] if n == 2 else gam
+
+    monkeypatch.setattr(clifford, "gammas", skewed)
+    cases, discrepancies = verify.suite_clifford(seed=1)
+    residuals = [c["residual"] for c in cases if c["id"].startswith("gamma_relations[")]
+    measured = {d["id"]: d["measured"] for d in discrepancies}
+    reported = measured["gamma-anticommutator-sign"]["anticommutator_max_residual"]
+    assert reported == max(residuals) > 0.0
+
+
+def test_clifford_det_is_the_clifford_suites_first_draws():
+    det = verify.run_verify("clifford-det", seed=7)
+    full = verify.run_verify("clifford", seed=7)
+    assert det.suite == "clifford-det"
+    assert det.cases == full.cases[:1000]
+    assert det.paper_discrepancies == []
