@@ -39,7 +39,7 @@ for n in range(1, 6):
         x = rng.normal(size=npar)
         alpha = rng.uniform(-1, 1) * 0.5 / (1 + np.linalg.norm(x))
         res = clifford.det_identity(n, x, alpha)
-        worst = max(worst, res.residual / abs(res.closed_form))
+        worst = np.maximum(worst, res.residual / abs(res.closed_form))
     power = 1 if n == 1 else 2 ** (n - 2)
     print(f"  level {n}: det(I - a A) = (1 - 2 a x_last + a^2 |x|^2)^{power}, "
           f"worst rel residual {worst:.2e}")

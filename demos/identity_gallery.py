@@ -59,5 +59,6 @@ for n in range(1, 5):
         phase = idn.passage_phase(n, l)
         for m in range(-l, l + 1):
             chi, th, ph = rng.uniform(0.3, 2.8, size=3)
-            worst = max(worst, idn.passage_residual(n, l, m, chi, th, ph, phase=phase).residual)
+            chk = idn.passage_residual(n, l, m, chi, th, ph, phase=phase)
+            worst = np.maximum(worst, chk.residual)
     print(f"  n={n}: worst residual over all (l, m) = {worst:.2e}  (global phases all 1)")

@@ -260,8 +260,9 @@ def _genfunc_position_raw(z, alpha, xi, eta, rvec, delta):
     adotr = _null_dot(xi, eta, rvec)
     z = np.asarray(z)
     one = 1.0 - z
+    # (z, alpha) factors combine before they meet the (xi, eta) plane
     return z / one ** 2 * np.exp(
-        -omega * r * (1.0 + z) / (2.0 * one) + alpha * omega * z * adotr / (2.0 * one ** 2)
+        -omega * r * (1.0 + z) / (2.0 * one) + alpha * (omega * z / (2.0 * one ** 2)) * adotr
     )
 
 
@@ -288,8 +289,9 @@ def _genfunc_momentum_raw(z, alpha, xi, eta, pvec, delta):
     return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2
 
 
-def _check_denominator(value, scale):
-    if np.min(np.abs(value)) < 1e-14 * max(1.0, scale):
+def _check_denominator(z, alpha, xi, eta, beta, pvec, delta):
+    denom = _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta)
+    if np.min(np.abs(denom)) < 1e-14 * max(1.0, delta ** 2 + float(np.dot(pvec, pvec))):
         raise SingularityError("generating-function denominator vanishes")
 
 
@@ -306,24 +308,17 @@ def genfunc_position(params: GenFuncParams, rvec, delta: float = 1.0):
 
 def genfunc_momentum_regulated(params: GenFuncParams, pvec, delta: float = 1.0):
     """Regulated momentum-side generating function (regulator beta >= 0)."""
-    pvec = np.asarray(pvec, dtype=float)
-    denom = _momentum_denominator(
-        params.z, params.alpha, params.pair.xi, params.pair.eta, params.beta, pvec, delta
-    )
-    _check_denominator(denom, delta ** 2 + float(pvec @ pvec))
-    return (2.0 / _SQRT2PI) * np.asarray(params.z) / denom
+    args = (params.z, params.alpha, params.pair.xi, params.pair.eta, params.beta, pvec, delta)
+    _check_denominator(*args)
+    return _genfunc_momentum_regulated_raw(*args)
 
 
 def genfunc_momentum(params: GenFuncParams, pvec, delta: float = 1.0):
     """Momentum-side generating function (the -d/dbeta at beta=0 of the
     regulated one)."""
-    pvec = np.asarray(pvec, dtype=float)
-    z = np.asarray(params.z)
-    denom = _momentum_denominator(
-        z, params.alpha, params.pair.xi, params.pair.eta, 0.0, pvec, delta
-    )
-    _check_denominator(denom, delta ** 2 + float(pvec @ pvec))
-    return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2
+    args = (params.z, params.alpha, params.pair.xi, params.pair.eta)
+    _check_denominator(*args, 0.0, pvec, delta)
+    return _genfunc_momentum_raw(*args, pvec, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +328,6 @@ def genfunc_momentum(params: GenFuncParams, pvec, delta: float = 1.0):
 def extraction_scale(n: int, l: int) -> float:
     """The factor sqrt(4 pi/(2l+1)) / N_nl linking coefficients to psi."""
     return math.sqrt(4.0 * math.pi / (2 * l + 1)) / normalization(n, l)
-
-
-def _circle(radius: float, count: int) -> np.ndarray:
-    angles = 2.0 * math.pi * np.arange(count) / count
-    return radius * np.exp(1j * angles)
 
 
 def extract_coefficient(
@@ -359,8 +349,13 @@ def extract_coefficient(
     expansion (n = n0) the coefficient equals
     sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).
 
+    The weights node^(-degree) / count are built once per call, as a (z, alpha)
+    plane and a (xi, eta) plane.  Each point evaluates the generating function
+    on slabs of 4 z nodes, never on the whole grid at once, contracts each slab
+    with the (xi, eta) plane and sums the rows against the (z, alpha) plane.
+
     The callable raises ConvergenceError, carrying the achieved residual,
-    when the half-node-count sub-rule disagrees with the full rule beyond
+    when the half-node-count rule disagrees with the full rule beyond
     max(rtol * |value|, atol).  The sub-rule aliasing decays much more slowly
     than the full rule's, so this is a conservative guard against bad radii
     or starved grids, not a tight error bound.
@@ -377,30 +372,26 @@ def extract_coefficient(
         raise ValueError("node counts must be even and at least 4")
     if nodes[0] <= n + 1:
         raise ValueError("need more z-nodes than the z-degree being extracted")
-    delta = 1.0 / n0
 
-    zc = _circle(radii[0], nodes[0])
-    ac = _circle(radii[1], nodes[1])
-    xic = _circle(radii[2], nodes[2])
-    etac = _circle(radii[3], nodes[3])
+    zc, ac, xic, etac = (r * np.exp(1j * (2.0 * math.pi * np.arange(c) / c))
+                         for r, c in zip(radii, nodes))
     # trapezoid Cauchy weights: mean of G * node^(-degree) over each circle
-    wz = zc ** (-n) / nodes[0]
-    wa = ac ** (-l) / nodes[1]
-    wxi = xic ** (-(l + m)) / nodes[2]
-    weta = etac ** (-(l - m)) / nodes[3]
-    grid_z = zc[:, None, None, None]
-    grid_a = ac[None, :, None, None]
-    grid_xi = xic[None, None, :, None]
-    grid_eta = etac[None, None, None, :]
+    w_za = np.multiply.outer(zc ** (-n) / nodes[0], ac ** (-l) / nodes[1])
+    w_xe = np.multiply.outer(xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3])
+    grid = np.meshgrid(ac, xic, etac, indexing="ij", sparse=True)
     phi_norm = math.exp(0.5 * (math.lgamma(l + m + 1.0) + math.lgamma(l - m + 1.0)))
 
     raw = _genfunc_position_raw if kind == "position" else _genfunc_momentum_raw
 
     def coefficient(point) -> complex:
-        g = raw(grid_z, grid_a, grid_xi, grid_eta, point, delta)
-        weighted = np.einsum("zaxe,z,a,x,e->zaxe", g, wz, wa, wxi, weta)
-        full = complex(weighted.sum())
-        half = complex(weighted[::2, ::2, ::2, ::2].sum() * 16.0)
+        rows = np.empty((2,) + w_za.shape, dtype=complex)  # full rule, half rule
+        for i in range(0, nodes[0], 4):  # at the default nodes a slab is 0.9 MB
+            g = raw(zc[i:i + 4, None, None, None], *grid, point, 1.0 / n0)
+            rows[0, i:i + 4] = np.einsum("zaxe,xe->za", g, w_xe)
+            rows[1, i:i + 4:2, ::2] = np.einsum(
+                "zaxe,xe->za", g[::2, ::2, ::2, ::2], w_xe[::2, ::2])
+        full = complex(np.sum(w_za * rows[0]))
+        half = 16.0 * complex(np.sum(w_za[::2, ::2] * rows[1, ::2, ::2]))
         resid = abs(full - half)
         if resid > max(rtol * abs(full), atol):
             raise ConvergenceError(

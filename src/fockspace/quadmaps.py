@@ -162,14 +162,11 @@ def _hermite_lift(f, rule: "quadrature.QuadratureRule") -> float:
     npts = len(t)
     total = 0.0
     # mesh the first axis in blocks to bound memory at ~npts^3 points
-    uj, uk, ul = np.meshgrid(t, t, t, indexing="ij")
     block = np.empty((npts ** 3, 4))
-    block[:, 1] = uj.ravel()
-    block[:, 2] = uk.ravel()
-    block[:, 3] = ul.ravel()
-    wtail = (w[:, None] * w[None, :]).ravel()
-    wtail = (wtail[:, None] * w[None, :]).ravel()
+    block[:, 1:] = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    wtail = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
     for i in range(npts):
         block[:, 0] = t[i]
-        total += w[i] * float(np.dot(wtail, _lifted_values(f, block)))
+        # not a BLAS dot, whose summation order follows the BLAS thread count
+        total += w[i] * float(np.sum(wtail * _lifted_values(f, block)))
     return 4.0 / math.pi * total

@@ -107,13 +107,20 @@ TOLERANCES = {
 # ---------------------------------------------------------------------------
 
 def _jsonify(value):
-    if isinstance(value, complex):
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
     return value
+
+
+def _strict(value):
+    # JSON (RFC 8259) has no NaN or Infinity: every non-finite float becomes null
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _worst(*values):
@@ -186,7 +193,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(_strict(self.to_dict()), indent=2, sort_keys=True, allow_nan=False)
 
 
 def discrepancy_registry() -> dict:
@@ -390,6 +397,11 @@ def _suite(name: str):
 # hydrogen suite
 # ---------------------------------------------------------------------------
 
+def _mean_ratio(got, want) -> complex:
+    big = np.abs(want) > 1e-3 * np.max(np.abs(want))
+    return complex(np.mean(got[big] / want[big]))
+
+
 @_suite("hydrogen")
 def suite_hydrogen(rec, seed, nodes):
     hankel_nodes = nodes or 300
@@ -472,7 +484,7 @@ def suite_hydrogen(rec, seed, nodes):
                      changes, n - l - 1, "node_count", residual=abs(changes - (n - l - 1)))
 
     # generating-function coefficient extraction
-    extraction_ratios = {}
+    position_ratios, momentum_ratios = {}, {}
     for (n, l, m) in [(1, 0, 0), (2, 1, 0), (3, 1, 1)]:
         rng = np.random.default_rng(seed + 10 * n + l)
         pts_pos = rng.uniform(-2.0, 2.0, size=(5, 3))
@@ -483,6 +495,7 @@ def suite_hydrogen(rec, seed, nodes):
         coeff = hydrogen.extract_coefficient("position", qn, n)
         got = np.array([coeff(pt) / scale for pt in pts_pos])
         want = np.array([hydrogen.psi_position(qn, pt) for pt in pts_pos])
+        position_ratios[f"(n={n},l={l})"] = _jsonify(_mean_ratio(got, want))
         resid = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
         rec.residual(f"extraction_position[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
                      resid, "extraction_position")
@@ -490,9 +503,8 @@ def suite_hydrogen(rec, seed, nodes):
         coeff = hydrogen.extract_coefficient("momentum", qn, n)
         got = np.array([coeff(pt) / scale for pt in pts_mom])
         want = np.array([hydrogen.psi_momentum(qn, pt) for pt in pts_mom])
-        big = np.abs(want) > 1e-3 * np.max(np.abs(want))
-        unit = complex(np.mean(got[big] / want[big]))
-        extraction_ratios[f"(n={n},l={l})"] = _jsonify(unit)
+        unit = _mean_ratio(got, want)
+        momentum_ratios[f"(n={n},l={l})"] = _jsonify(unit)
         resid = float(np.max(np.abs(got - unit * want)) / np.max(np.abs(want)))
         rec.residual(f"extraction_momentum[n={n},l={l},m={m}]",
                      {"n": n, "l": l, "m": m, "phase_unit": unit},
@@ -500,7 +512,7 @@ def suite_hydrogen(rec, seed, nodes):
         rec.case(f"extraction_momentum_phase[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
                  unit, (-1.0 + 0.0j) ** l, "extraction_momentum_phase")
     rec.measure("expansion-weight-bookkeeping",
-                position_ratio=1.0, momentum_ratio_per_nl=extraction_ratios)
+                position_ratio_per_nl=position_ratios, momentum_ratio_per_nl=momentum_ratios)
 
     # regulator-derivative link by central finite difference
     rng = np.random.default_rng(seed + 99)

@@ -11,6 +11,7 @@ import numpy as np
 from fockspace import (
     clifford, hydrogen, identities, quadmaps, quadrature, specfun, verify,
 )
+from fockspace.verify import _worst  # NaN-keeping; the builtin max(0.0, nan) is 0.0
 
 SEED = 42
 
@@ -33,9 +34,9 @@ def test_criterion_1_ground_state_momentum_amplitude():
         abs(oracle - target) / target,
         abs(closed - oracle) / target,
     )
-    _report(1, max(errs) <= 1e-8,
+    _report(1, _worst(*errs) <= 1e-8,
             f"|psi~_100(0)| closed={closed:.12f} oracle={oracle:.12f} "
-            f"target=2*sqrt(2)/pi={target:.12f} max rel err={max(errs):.2e} (tol 1e-8)")
+            f"target=2*sqrt(2)/pi={target:.12f} max rel err={_worst(*errs):.2e} (tol 1e-8)")
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +53,12 @@ def test_criterion_2_fourier_consistency_sweep():
         for l in range(n):
             closed = hydrogen.radial_momentum(n, l, p)
             oracle = quadrature.radial_hankel(n, l, p)
-            worst_mod = max(worst_mod, float(np.max(
+            worst_mod = _worst(worst_mod, float(np.max(
                 np.abs(np.abs(oracle) - np.abs(closed)) / np.abs(closed))))
             ratio = oracle / closed
             unit = complex(np.mean(ratio))
             units[(n, l)] = unit
-            worst_spread = max(worst_spread, float(np.max(np.abs(ratio - unit))))
+            worst_spread = _worst(worst_spread, float(np.max(np.abs(ratio - unit))))
     ok = worst_mod <= 1e-6 and worst_spread <= 1e-6
     shown = ", ".join(f"(n={n},l={l}): {u.real:+.0f}{u.imag:+.0f}i"
                       for (n, l), u in sorted(units.items())[:4])
@@ -77,11 +78,11 @@ def test_criterion_3_normalization_and_orthogonality():
         gram = np.array([
             [hydrogen.radial_overlap(n1, n2, l, npts=220) for n2 in ns] for n1 in ns
         ])
-        worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(len(ns))))))
+        worst_gram = _worst(worst_gram, float(np.max(np.abs(gram - np.eye(len(ns))))))
     worst_norm = 0.0
     for n in range(1, 6):
         for l in range(n):
-            worst_norm = max(worst_norm, abs(hydrogen.momentum_norm(n, l) - 1.0))
+            worst_norm = _worst(worst_norm, abs(hydrogen.momentum_norm(n, l) - 1.0))
     ok = worst_gram <= 1e-8 and worst_norm <= 1e-6
     _report(3, ok,
             f"position Gram deviation={worst_gram:.2e} (tol 1e-8), momentum norm "
@@ -105,7 +106,8 @@ def test_criterion_4_coefficient_extraction():
         coeff = hydrogen.extract_coefficient("position", qn, n)
         got = np.array([coeff(pt) for pt in pts]) / scale
         want = np.array([hydrogen.psi_position(qn, pt) for pt in pts])
-        worst_pos = max(worst_pos, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        resid = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        worst_pos = _worst(worst_pos, resid)
 
         pts = rng.uniform(-1.2, 1.2, size=(5, 3))
         coeff = hydrogen.extract_coefficient("momentum", qn, n)
@@ -114,7 +116,7 @@ def test_criterion_4_coefficient_extraction():
         big = np.abs(want) > 1e-3 * np.max(np.abs(want))
         unit = complex(np.mean(got[big] / want[big]))
         units[(n, l)] = unit
-        worst_mom = max(worst_mom, float(
+        worst_mom = _worst(worst_mom, float(
             np.max(np.abs(got - unit * want)) / np.max(np.abs(want))))
         assert abs(abs(unit) - 1.0) <= 1e-6
 
@@ -132,7 +134,7 @@ def test_criterion_4_coefficient_extraction():
         fd = -(hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, +h, pv, dl)
                - hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pv, dl)) / (2 * h)
         exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pv, dl)
-        worst_link = max(worst_link, abs(fd - exact) / abs(exact))
+        worst_link = _worst(worst_link, abs(fd - exact) / abs(exact))
 
     ok = worst_pos <= 1e-6 and worst_mom <= 1e-6 and worst_link <= 1e-7
     shown = ", ".join(f"(n={n},l={l}): {u.real:+.0f}{u.imag:+.0f}i"
@@ -160,7 +162,7 @@ def test_criterion_5_ks_measure_identity():
         "exp(-r) mc": abs(m1.value - 8 * math.pi) / (8 * math.pi),
         "exp(-r^2) mc": abs(m2.value - math.pi ** 1.5) / math.pi ** 1.5,
     }
-    ok = max(errs.values()) <= 5e-3
+    ok = _worst(*errs.values()) <= 5e-3
     _report(5, ok, "relative errors " + ", ".join(
         f"{k}={v:.2e}" for k, v in errs.items()) + " (tol 5e-3)")
 
@@ -178,7 +180,7 @@ def test_criterion_6_clifford_determinant_family():
             x = rng.normal(size=npar)
             alpha = rng.uniform(-1, 1) * 0.5 / (1.0 + float(np.linalg.norm(x)))
             res = clifford.det_identity(n, x, alpha)
-            worst_det = max(worst_det, res.residual / abs(res.closed_form))
+            worst_det = _worst(worst_det, res.residual / abs(res.closed_form))
 
     exact = True
     for n in range(1, 7):
@@ -210,26 +212,30 @@ def test_criterion_7_gegenbauer_identity_suite():
     for a in (0.5, 1.0, 2.0, 3.0):
         for t in (-0.5, -0.25, 0.25, 0.5):
             for x in np.linspace(-1, 1, 9):
-                worst_gen = max(worst_gen, identities.genfunc_gegenbauer(a, t, float(x)).residual)
+                chk = identities.genfunc_gegenbauer(a, t, float(x))
+                worst_gen = _worst(worst_gen, chk.residual)
 
     worst_rec = 0.0
     for a in (1.5, 2.0, 4.0, 6.0):
         for n in range(21):
             for x in np.linspace(-1, 1, 9):
                 scale = max(1.0, abs(specfun.gegenbauer(n + 1, a, float(x))))
-                worst_rec = max(worst_rec, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
+                resid = identities.gegenbauer_recurrence(a, n, float(x))
+                worst_rec = _worst(worst_rec, resid / scale)
 
     worst_bessel = 0.0
     for a in (1.0, 1.5, 2.0, 2.5, 3.0):
         for z in (0.5, 2.0, 5.0):
             for chi in (0.3, 0.5 * math.pi, 2.5):
-                worst_bessel = max(worst_bessel, identities.bessel_genfunc(a, z, chi).residual)
+                chk = identities.bessel_genfunc(a, z, chi)
+                worst_bessel = _worst(worst_bessel, chk.residual)
 
     worst_kappa = 0.0
     for l in range(4):
         vals = [identities.integral_rep(l, 0.4, float(chi)).kappa
                 for chi in np.linspace(0.2, math.pi - 0.2, 9)]
-        worst_kappa = max(worst_kappa, (max(vals) - min(vals)) / (2.0 ** l * math.factorial(l)))
+        spread = _worst(*vals) - min(vals)
+        worst_kappa = _worst(worst_kappa, spread / (2.0 ** l * math.factorial(l)))
     l0 = identities.integral_rep(0, 0.5, 1.0)
     l0_err = abs(l0.rhs - l0.lhs) / abs(l0.lhs)
 
@@ -255,7 +261,7 @@ def test_criterion_8_hyperspherical_block():
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):
             val = complex(np.sum(w * np.conj(fi) * fj))
-            worst_gram = max(worst_gram, abs(val - (1.0 if i == j else 0.0)))
+            worst_gram = _worst(worst_gram, abs(val - (1.0 if i == j else 0.0)))
 
     worst_triple = 0.0
     for n in (2, 3):
@@ -266,8 +272,8 @@ def test_criterion_8_hyperspherical_block():
                 m = -int(round(m1 + m2))
                 if abs(m) > l:
                     continue
-                worst_triple = max(worst_triple,
-                                   identities.triple_D_integral(n, m1, m2, l, m).residual)
+                chk = identities.triple_D_integral(n, m1, m2, l, m)
+                worst_triple = _worst(worst_triple, chk.residual)
 
     rng = np.random.default_rng(SEED)
     worst_pass = 0.0
@@ -281,7 +287,7 @@ def test_criterion_8_hyperspherical_block():
                 th = float(rng.uniform(0.3, math.pi - 0.3))
                 ph = float(rng.uniform(0.0, 2 * math.pi))
                 chk = identities.passage_residual(n, l, m, chi, th, ph, phase=phase)
-                worst_pass = max(worst_pass, chk.residual)
+                worst_pass = _worst(worst_pass, chk.residual)
 
     ok = worst_gram <= 1e-9 and worst_triple <= 1e-9 and worst_pass <= 1e-8
     _report(8, ok,

@@ -1,6 +1,8 @@
 """Command-line contract: outputs, exit codes, determinism, report schema."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -9,10 +11,10 @@ import pytest
 from fockspace import cli, verify
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "fockspace.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     return proc
 
@@ -208,6 +210,18 @@ def test_verify_deterministic_modulo_elapsed():
     assert a == b
 
 
+def test_verify_report_does_not_depend_on_blas_thread_count():
+    # byte for byte, elapsed_ms aside: no reduction's summation order may
+    # follow the number of BLAS threads
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = run_cli("verify", "maps", "--seed", "42", "--format", "json", env=env)
+        assert proc.returncode == 0
+        outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_clifford_det_alias_runs_subset():
     proc = run_cli("clifford-det", "--seed", "7")
     assert proc.returncode == 0
@@ -252,6 +266,8 @@ def test_main_entry_direct():
 def test_report_roundtrip_and_counts():
     report = verify.run_verify("maps", seed=11)
     data = json.loads(report.to_json())
+    # a report without non-finite numbers is written exactly as json.dumps would
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
     assert data["passed"] + data["failed"] == len(data["cases"])
     assert data["passed"] == report.passed
 

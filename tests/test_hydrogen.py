@@ -262,6 +262,57 @@ def test_extraction_momentum_reproduces_psi_up_to_unit(n, l, m):
     assert np.max(np.abs(got - unit * want)) <= 1e-6 * np.max(np.abs(want))
 
 
+def _reference_extraction(kind, qn, n0, point, radii=(0.4, 0.5, 0.7, 0.7),
+                          nodes=(48, 24, 24, 24)):
+    """The coefficient and half-grid residual from one weighted copy of the grid.
+
+    The product rule written out in full: G times every circle's weight at
+    every node, summed whole and on the even-index sub-grid (times 16).
+    """
+    n, l, m = qn
+    zc, ac, xic, etac = (
+        r * np.exp(2j * math.pi * np.arange(c) / c) for r, c in zip(radii, nodes)
+    )
+    raw = hy._genfunc_position_raw if kind == "position" else hy._genfunc_momentum_raw
+    g = raw(zc[:, None, None, None], ac[None, :, None, None], xic[None, None, :, None],
+            etac[None, None, None, :], point, 1.0 / n0)
+    weighted = np.einsum(
+        "zaxe,z,a,x,e->zaxe", g, zc ** (-n) / nodes[0], ac ** (-l) / nodes[1],
+        xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3],
+    )
+    full = complex(weighted.sum())
+    half = complex(weighted[::2, ::2, ::2, ::2].sum() * 16.0)
+    phi_norm = math.sqrt(math.factorial(l + m) * math.factorial(l - m))
+    return full * phi_norm, abs(full - half)
+
+
+def _extraction_residual(kind, qn, n0, point, **grid):
+    # with rtol = atol = 0 the guard always trips and reports its residual
+    with pytest.raises(ConvergenceError) as err:
+        hy.extract_coefficient(kind, qn, n0, rtol=0.0, atol=0.0, **grid)(point)
+    return err.value.residual
+
+
+STATES_TO_N3 = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_extraction_matches_the_weighted_grid_sum(kind):
+    # the plane contraction is the full weighted sum reassociated: value and
+    # half-grid residual agree with it to rounding, relative to the largest
+    # coefficient in each state's sample
+    for n, l, m in STATES_TO_N3:
+        rng = np.random.default_rng(300 + 100 * n + 10 * l + m)
+        pts = rng.uniform(-1.5, 1.5, size=(2, 3))
+        coeff = hy.extract_coefficient(kind, (n, l, m), n)
+        got = np.array([coeff(pt) for pt in pts])
+        want, want_resid = zip(*(_reference_extraction(kind, (n, l, m), n, pt) for pt in pts))
+        resid = [_extraction_residual(kind, (n, l, m), n, pt) for pt in pts]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale, (n, l, m)
+        assert np.max(np.abs(np.subtract(resid, want_resid))) <= 1e-12 * scale, (n, l, m)
+
+
 def test_extraction_zero_for_l_at_least_n():
     coeff = hy.extract_coefficient("momentum", (2, 2, 0), 2)
     assert abs(coeff((0.3, 0.1, -0.2))) < 1e-10
@@ -270,10 +321,12 @@ def test_extraction_zero_for_l_at_least_n():
 
 
 def test_extraction_convergence_guard():
+    point = (0.5, 0.2, 0.1)
     with pytest.raises(ConvergenceError) as err:
         coeff = hy.extract_coefficient("momentum", (3, 1, 1), 3, nodes=(6, 4, 4, 4))
-        coeff((0.5, 0.2, 0.1))
-    assert err.value.residual is not None
+        coeff(point)
+    _, want = _reference_extraction("momentum", (3, 1, 1), 3, point, nodes=(6, 4, 4, 4))
+    assert err.value.residual == pytest.approx(want, rel=1e-12)
 
 
 def test_extraction_argument_validation():

@@ -102,6 +102,10 @@ def test_bad_tolerance_value_rejected(value):
         verify.run_verify("maps", seed=42, tols={"ks_integral": value})
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path):
     def diverge(*args, **kwargs):
         raise ConvergenceError("Cauchy circle did not converge", residual=1.0)
@@ -109,7 +113,7 @@ def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path):
     monkeypatch.setattr(hydrogen, "extract_coefficient", diverge)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "all", "--seed", "42", "--out", str(out)]) == 1
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
     # hydrogen keeps the cases before the fault; the other suites are whole
     ids = CASE_IDS.read_text().split()
     fault = ids.index("extraction_position[n=1,l=0,m=0]")
@@ -122,6 +126,8 @@ def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path):
     assert error["params"]["suite"] == "hydrogen"
     assert error["params"]["error"] == "ConvergenceError"
     assert error["params"]["message"] == "Cauchy circle did not converge"
+    # strict JSON: the NaN sides and residual are written as null
+    assert error["residual"] is None and error["lhs"][0] is None
     assert report["failed"] == 1
 
 
