@@ -158,9 +158,15 @@ def _recursive_entries(n: int, x: tuple) -> np.ndarray:
         return np.array([[x[1] + 1j * x[0]]])
     inner = _recursive_entries(n - 1, x[: 2 * n - 2])
     s = matrix_size(n - 1)
-    diag = (x[2 * n - 1] + 1j * x[2 * n - 2]) * np.eye(s, dtype=complex)
-    diag_c = (x[2 * n - 1] - 1j * x[2 * n - 2]) * np.eye(s, dtype=complex)
-    return np.block([[diag, inner], [-inner.conj().T, diag_c]])
+    out = np.empty((2 * s, 2 * s), dtype=complex)
+    for block, c in ((out[:s, :s], x[2 * n - 1] + 1j * x[2 * n - 2]),
+                     (out[s:, s:], x[2 * n - 1] - 1j * x[2 * n - 2])):
+        # the entries of c * I, signed zeros included
+        block[...] = c * 0j
+        np.fill_diagonal(block, c * (1 + 0j))
+    out[:s, s:] = inner
+    out[s:, :s] = -inner.conj().T
+    return out
 
 
 def _closed_det(n: int, x: tuple, alpha: complex) -> complex:
@@ -215,14 +221,17 @@ def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
     size = a.entries.shape[0]
 
     def integrand(u):
-        if n == 1:
-            quad = np.einsum("ki,ij,kj->k", u, a.entries, u)  # real variables
-        else:
-            # one draw of 2*size normals per sample: real parts, then imaginary
-            re, im = u.reshape(2, len(u), size)
-            z = re + 1j * im
-            quad = np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z)
-        return np.exp(alpha * quad)
+        if n == 1:  # real variables
+            return np.exp(alpha * np.einsum("ki,ij,kj->k", u, a.entries, u))
+        # one draw of 2*size normals per sample: real parts, then imaginary;
+        # the samples are then evaluated over fixed row blocks
+        re, im = u.reshape(2, len(u), size)
+        out = np.empty(len(u), dtype=complex)
+        for i in range(0, len(u), quadrature.BLOCK_ROWS):
+            rows = slice(i, i + quadrature.BLOCK_ROWS)
+            z = re[rows] + 1j * im[rows]
+            out[rows] = np.exp(alpha * np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z))
+        return out
 
     dim = 2 if n == 1 else 2 * size
     mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed, chunk)

@@ -55,6 +55,7 @@ __all__ = [
     "genfunc_momentum",
     "extract_coefficient",
     "extraction_scale",
+    "extraction_nodes",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -330,6 +331,17 @@ def extraction_scale(n: int, l: int) -> float:
     return math.sqrt(4.0 * math.pi / (2 * l + 1)) / normalization(n, l)
 
 
+def extraction_nodes(l: int) -> tuple:
+    """Cauchy node counts (z, alpha, xi, eta) sized to the xi and eta degree 2l.
+
+    k = max(4, 4l + 2) nodes in xi and eta keep the half rule (k/2 >= 2l + 1
+    nodes) exact in both; see ``extract_coefficient``.  The z and alpha axes
+    alias, so they keep the default 48 and 24 nodes.
+    """
+    k = max(4, 4 * l + 2)
+    return (48, 24, k, k)
+
+
 def extract_coefficient(
     kind: str,
     qn,
@@ -348,6 +360,13 @@ def extract_coefficient(
     radii[1], |xi| = radii[2], |eta| = radii[3].  For a state of the
     expansion (n = n0) the coefficient equals
     sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).
+
+    The alpha^l coefficient of both generating functions is (a.v)^l times a
+    factor in z, and a.v is quadratic in (xi, eta), so in xi and in eta it is
+    a polynomial of degree 2l.  An M-node trapezoid rule picks xi^(l+m) out of
+    it exactly when M > 2l, and likewise eta^(l-m): only the z and alpha axes
+    alias.  ``extraction_nodes(l)`` gives the smallest grid whose half rule is
+    still exact in xi and eta; the default 24 nodes cover every l <= 5.
 
     The weights node^(-degree) / count are built once per call, as a (z, alpha)
     plane and a (xi, eta) plane.  Each point evaluates the generating function

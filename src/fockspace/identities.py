@@ -14,6 +14,7 @@ operations evaluate the printed variant alongside the corrected one:
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from typing import NamedTuple
@@ -38,6 +39,7 @@ __all__ = [
     "genfunc_gegenbauer",
     "bessel_genfunc",
     "gegenbauer_recurrence",
+    "gegenbauer_recurrence_ladder",
     "integral_rep",
     "plane_wave_partial",
     "duplication_check",
@@ -128,13 +130,28 @@ def gegenbauer_recurrence(a: float, n: int, x: float) -> float:
     Negative-degree polynomials count as zero.  Needs a > 1/2 so the lowered
     order stays in range.
     """
+    return gegenbauer_recurrence_ladder(a, n, x)[n][0]
+
+
+def gegenbauer_recurrence_ladder(a: float, n_max: int, x: float) -> list:
+    """``gegenbauer_recurrence`` at every degree n = 0, ..., n_max.
+
+    Returns one (residual, C_(n+1)^(a)(x)) pair per degree, the rung kept for
+    scaling the residual.  One ladder in a and one in a - 1 serve every
+    degree.
+    """
     if a <= 0.5:
         raise ValueError(f"need order a > 1/2, got a={a}")
-    if n < 0:
-        raise ValueError(f"need degree n >= 0, got n={n}")
-    lhs = (n + a) * gegenbauer(n + 1, a - 1.0, x)
-    rhs = (a - 1.0) * (gegenbauer(n + 1, a, x) - gegenbauer(n - 1, a, x))
-    return abs(lhs - rhs)
+    if n_max < 0:
+        raise ValueError(f"need degree n >= 0, got n={n_max}")
+    upper = list(itertools.islice(gegenbauer_ladder(a, x), n_max + 2))
+    lowered = itertools.islice(gegenbauer_ladder(a - 1.0, x), 1, n_max + 2)
+    out = []
+    for n, c_low in enumerate(lowered):
+        lhs = (n + a) * c_low
+        rhs = (a - 1.0) * (upper[n + 1] - (upper[n - 1] if n else 0.0))
+        out.append((abs(lhs - rhs), upper[n + 1]))
+    return out
 
 
 class IntegralRepCheck(NamedTuple):

@@ -123,8 +123,12 @@ class KSIntegralResult(NamedTuple):
 
 
 def _lifted_values(f, u):
-    xyz, r = ks_map(u)
-    return np.asarray(f(xyz), dtype=float) * r * np.exp(r)
+    out = np.empty(len(u))
+    for i in range(0, len(u), quadrature.BLOCK_ROWS):
+        rows = slice(i, i + quadrature.BLOCK_ROWS)
+        xyz, r = ks_map(u[rows])
+        out[rows] = np.asarray(f(xyz), dtype=float) * r * np.exp(r)
+    return out
 
 
 def ks_integral(

@@ -36,7 +36,12 @@ __all__ = [
     "s3_rule",
     "radial_hankel",
     "mc_gaussian",
+    "BLOCK_ROWS",
 ]
+
+# Rows per block for integrands that evaluate their samples piecewise, so
+# that their temporaries scale with the block, not with the sample chunk.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,7 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42,
         mean = mean + delta * take / tot
         count = tot
         remaining -= take
+        del u, vals  # free this chunk before the next draw allocates its own
     var = m2 / (count - 1) if count > 1 else 0.0
     stderr = math.sqrt(var / count)
     return mean, stderr

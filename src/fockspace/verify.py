@@ -491,8 +491,9 @@ def suite_hydrogen(rec, seed, nodes):
         pts_mom = rng.uniform(-1.2, 1.2, size=(5, 3))
         scale = hydrogen.extraction_scale(n, l)
         qn = specfun.QuantumNumbers(n, l, m)
+        grid = hydrogen.extraction_nodes(l)
 
-        coeff = hydrogen.extract_coefficient("position", qn, n)
+        coeff = hydrogen.extract_coefficient("position", qn, n, nodes=grid)
         got = np.array([coeff(pt) / scale for pt in pts_pos])
         want = np.array([hydrogen.psi_position(qn, pt) for pt in pts_pos])
         position_ratios[f"(n={n},l={l})"] = _jsonify(_mean_ratio(got, want))
@@ -500,7 +501,7 @@ def suite_hydrogen(rec, seed, nodes):
         rec.residual(f"extraction_position[n={n},l={l},m={m}]", {"n": n, "l": l, "m": m},
                      resid, "extraction_position")
 
-        coeff = hydrogen.extract_coefficient("momentum", qn, n)
+        coeff = hydrogen.extract_coefficient("momentum", qn, n, nodes=grid)
         got = np.array([coeff(pt) / scale for pt in pts_mom])
         want = np.array([hydrogen.psi_momentum(qn, pt) for pt in pts_mom])
         unit = _mean_ratio(got, want)
@@ -758,10 +759,9 @@ def suite_identities(rec, seed, nodes):
     # order-lowering recurrence
     for a in (1.5, 2.0, 3.0, 4.5, 6.0):
         worst = 0.0
-        for n in range(21):
-            for x in np.linspace(-1.0, 1.0, 9):
-                scale = max(1.0, abs(specfun.gegenbauer(n + 1, a, float(x))))
-                worst = _worst(worst, identities.gegenbauer_recurrence(a, n, float(x)) / scale)
+        for x in np.linspace(-1.0, 1.0, 9):
+            for resid, c in identities.gegenbauer_recurrence_ladder(a, 20, float(x)):
+                worst = _worst(worst, resid / max(1.0, abs(c)))
         rec.residual(f"gegenbauer_recurrence[a={a}]", {"a": a, "n_max": 20}, worst,
                      "gegenbauer_recurrence")
 

@@ -216,7 +216,7 @@ def test_verify_report_does_not_depend_on_blas_thread_count():
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = run_cli("verify", "maps", "--seed", "42", "--format", "json", env=env)
+        proc = run_cli("verify", "all", "--seed", "42", "--format", "json", env=env)
         assert proc.returncode == 0
         outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
     assert outputs[0] == outputs[1]

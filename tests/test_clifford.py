@@ -1,11 +1,12 @@
 """Anticommuting matrix family, determinant identities, Gaussian integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fockspace import clifford as cl
+from fockspace import clifford as cl, quadrature as qr
 from fockspace.errors import IntegrabilityError, SingularityError
 from fockspace.specfun import gegenbauer
 
@@ -187,6 +188,75 @@ def test_gaussian_mc_reproducible():
     a = cl.gaussian_mc(2, (0, 0, 0, 0.5), 0.3, samples=50_000, seed=9)
     b = cl.gaussian_mc(2, (0, 0, 0, 0.5), 0.3, samples=50_000, seed=9)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def _unblocked_gaussian_mc(n, x, alpha, samples, seed):
+    # the integrand evaluated over each whole chunk at once
+    a = cl.build_A(n, x).entries
+    size = a.shape[0]
+
+    def integrand(u):
+        if n == 1:
+            quad = np.einsum("ki,ij,kj->k", u, a, u)
+        else:
+            re, im = u.reshape(2, len(u), size)
+            z = re + 1j * im
+            quad = np.einsum("ki,ij,kj->k", np.conj(z), a, z)
+        return np.exp(alpha * quad)
+
+    dim = 2 if n == 1 else 2 * size
+    return qr.mc_gaussian(dim, integrand, samples, seed)
+
+
+@pytest.mark.parametrize("n,x,alpha", [
+    (1, (0.2, 0.1, 0.4), 0.3),
+    (2, (0.0, 0.0, 0.0, 0.5), 0.3),
+    (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.2),
+])
+def test_gaussian_mc_blocks_are_bit_identical_to_whole_chunks(n, x, alpha):
+    # 30_001 and the 23_457-sample last chunk are not multiples of the block
+    for samples in (30_001, 123_457):
+        res = cl.gaussian_mc(n, x, alpha, samples=samples, seed=5)
+        mean, stderr = _unblocked_gaussian_mc(n, x, alpha, samples, 5)
+        assert np.array(res.value).tobytes() == np.array(mean, dtype=complex).tobytes()
+        assert res.stderr.hex() == stderr.hex()
+
+
+def test_gaussian_mc_level3_working_set_is_bounded():
+    # whole 100_000-sample chunks peaked at 23.4 MB of traced allocations
+    x = (0.10, 0.05, -0.10, 0.20, 0.10, 0.30)
+    cl.gaussian_mc(3, x, 0.2, samples=10_000)  # build and cache the gammas first
+    tracemalloc.start()
+    try:
+        cl.gaussian_mc(3, x, 0.2, samples=200_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _block_assembled_entries(n, x):
+    # the recursion assembled with np.block
+    if n == 1:
+        return np.array([[x[1] + 1j * x[0]]])
+    inner = _block_assembled_entries(n - 1, x[: 2 * n - 2])
+    s = cl.matrix_size(n - 1)
+    diag = (x[2 * n - 1] + 1j * x[2 * n - 2]) * np.eye(s, dtype=complex)
+    diag_c = (x[2 * n - 1] - 1j * x[2 * n - 2]) * np.eye(s, dtype=complex)
+    return np.block([[diag, inner], [-inner.conj().T, diag_c]])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recursive_entries_are_bit_identical_to_the_block_assembly(n):
+    rng = np.random.default_rng(40 + n)
+    signed_zeros = [(0.0, 1.0), (-0.0, 1.0), (-0.0, -1.0), (1.0, -0.0), (-1.0, -0.0)]
+    xs = [tuple(float(v) for v in rng.normal(size=2 * n)) for _ in range(50)]
+    xs += [pair * n for pair in signed_zeros]
+    for x in xs:
+        got = cl._recursive_entries(n, x)
+        want = _block_assembled_entries(n, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), x
 
 
 def test_gaussian_mc_integrability_guard():

@@ -296,21 +296,74 @@ def _extraction_residual(kind, qn, n0, point, **grid):
 STATES_TO_N3 = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
 
 
-@pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_extraction_matches_the_weighted_grid_sum(kind):
+def _check_against_the_weighted_grid_sum(kind, sized):
     # the plane contraction is the full weighted sum reassociated: value and
     # half-grid residual agree with it to rounding, relative to the largest
     # coefficient in each state's sample
     for n, l, m in STATES_TO_N3:
+        grid = {"nodes": hy.extraction_nodes(l)} if sized else {}
         rng = np.random.default_rng(300 + 100 * n + 10 * l + m)
         pts = rng.uniform(-1.5, 1.5, size=(2, 3))
-        coeff = hy.extract_coefficient(kind, (n, l, m), n)
+        coeff = hy.extract_coefficient(kind, (n, l, m), n, **grid)
         got = np.array([coeff(pt) for pt in pts])
-        want, want_resid = zip(*(_reference_extraction(kind, (n, l, m), n, pt) for pt in pts))
-        resid = [_extraction_residual(kind, (n, l, m), n, pt) for pt in pts]
+        want, want_resid = zip(*(_reference_extraction(kind, (n, l, m), n, pt, **grid)
+                                 for pt in pts))
+        resid = [_extraction_residual(kind, (n, l, m), n, pt, **grid) for pt in pts]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale, (n, l, m)
         assert np.max(np.abs(np.subtract(resid, want_resid))) <= 1e-12 * scale, (n, l, m)
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_extraction_matches_the_weighted_grid_sum(kind):
+    _check_against_the_weighted_grid_sum(kind, sized=False)
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_sized_extraction_matches_the_weighted_grid_sum(kind):
+    _check_against_the_weighted_grid_sum(kind, sized=True)
+
+
+def test_extraction_nodes_follow_the_degree_rule():
+    # k = max(4, 4l + 2): the half rule keeps k/2 > 2l nodes in xi and eta
+    assert [hy.extraction_nodes(l) for l in range(4)] == [
+        (48, 24, 4, 4), (48, 24, 6, 6), (48, 24, 10, 10), (48, 24, 14, 14)]
+
+
+STATES_TO_N4 = [(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)]
+
+
+def _values_and_trips(kind, qn, points, nodes):
+    # each point's coefficient, and whether the default guard tripped on it
+    guarded = hy.extract_coefficient(kind, qn, qn[0], nodes=nodes)
+    unguarded = hy.extract_coefficient(kind, qn, qn[0], nodes=nodes, atol=math.inf)
+    values, trips = [], []
+    for pt in points:
+        try:
+            values.append(guarded(pt))
+            trips.append(False)
+        except ConvergenceError:
+            values.append(unguarded(pt))
+            trips.append(True)
+    return np.array(values), trips
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_sized_grid_agrees_with_the_full_grid(kind):
+    # both grids are exact in xi and eta; they differ only in how the alpha
+    # axis aliases (measured: 1.5e-13 position, 2.1e-14 momentum).  The guard
+    # trips on the same points, momentum (4, 3, -1) at its first point.
+    spread = 2.0 if kind == "position" else 1.2  # the suite's sampling boxes
+    tripped = []
+    for n, l, m in STATES_TO_N4:
+        rng = np.random.default_rng(500 + 100 * n + 10 * l + m)
+        pts = rng.uniform(-spread, spread, size=(3, 3))
+        full, full_trips = _values_and_trips(kind, (n, l, m), pts, (48, 24, 24, 24))
+        sized, sized_trips = _values_and_trips(kind, (n, l, m), pts, hy.extraction_nodes(l))
+        assert np.max(np.abs(sized - full)) <= 1e-11 * np.max(np.abs(full)), (n, l, m)
+        assert sized_trips == full_trips, (n, l, m)
+        tripped += [(n, l, m)] * sum(full_trips)
+    assert tripped == ([(4, 3, -1)] if kind == "momentum" else [])
 
 
 def test_extraction_zero_for_l_at_least_n():

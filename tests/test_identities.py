@@ -129,9 +129,32 @@ def test_gegenbauer_recurrence_sweep():
                 assert idn.gegenbauer_recurrence(a, n, float(x)) <= 1e-10 * scale
 
 
+def _per_degree_recurrence(a, n, x):
+    # the residual restarted from C_0 at every degree, as one call per degree
+    lhs = (n + a) * sf.gegenbauer(n + 1, a - 1.0, x)
+    rhs = (a - 1.0) * (sf.gegenbauer(n + 1, a, x) - sf.gegenbauer(n - 1, a, x))
+    return abs(lhs - rhs)
+
+
+def test_gegenbauer_recurrence_ladder_is_the_per_degree_call():
+    for a in (0.75, 1.5, 2.0, 3.0, 4.5, 6.0):
+        for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            got = idn.gegenbauer_recurrence_ladder(a, 20, x)
+            assert len(got) == 21
+            for n, (resid, rung) in enumerate(got):
+                want = _per_degree_recurrence(a, n, x)
+                assert type(resid) is float and resid.hex() == want.hex(), (a, x, n)
+                assert rung.hex() == sf.gegenbauer(n + 1, a, x).hex()
+                assert idn.gegenbauer_recurrence(a, n, x).hex() == want.hex()
+
+
 def test_gegenbauer_recurrence_domain():
     with pytest.raises(ValueError):
         idn.gegenbauer_recurrence(0.5, 2, 0.1)
+    with pytest.raises(ValueError):
+        idn.gegenbauer_recurrence(1.5, -1, 0.1)
+    with pytest.raises(ValueError):
+        idn.gegenbauer_recurrence_ladder(0.5, 2, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,27 @@ def test_ks_integral_ball_mc():
     assert res.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-2)
 
 
+def _unblocked_lifted_values(f, u):
+    # the lifted integrand evaluated over all of u at once
+    xyz, r = qm.ks_map(u)
+    return np.asarray(f(xyz), dtype=float) * r * np.exp(r)
+
+
+@pytest.mark.parametrize("f", [exp_decay, ball_indicator])
+def test_ks_integral_blocks_are_bit_identical_to_whole_chunks(f, monkeypatch):
+    # 30_001, the 23_457-sample last chunk and the default rule's 28^3 rows
+    # per slab are not multiples of the block
+    runs = [dict(method="mc", samples=30_001, seed=6),
+            dict(method="mc", samples=123_457, seed=6),
+            dict(method="quadrature")]
+    got = [qm.ks_integral(f, **kw) for kw in runs]
+    monkeypatch.setattr(qm, "_lifted_values", _unblocked_lifted_values)
+    want = [qm.ks_integral(f, **kw) for kw in runs]
+    for g, w in zip(got, want):
+        assert float(g.value).hex() == float(w.value).hex()
+        assert float(g.error).hex() == float(w.error).hex()
+
+
 def test_ks_integral_error_estimate_reported():
     res = qm.ks_integral(exp_decay)
     assert res.error >= 0.0
