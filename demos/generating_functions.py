@@ -42,9 +42,9 @@ z, al = 0.3 + 0.2j, 0.25 - 0.1j
 xi, eta = 0.4 + 0.1j, -0.2 + 0.3j
 pvec = (0.4, -0.7, 1.1)
 h = 1e-5
-fd = -(hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, +h, pvec, 1.0)
-       - hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pvec, 1.0)) / (2 * h)
-exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pvec, 1.0)
+fd = -(hydrogen.genfunc_momentum_regulated(z, al, xi, eta, +h, pvec, 1.0)
+       - hydrogen.genfunc_momentum_regulated(z, al, xi, eta, -h, pvec, 1.0)) / (2 * h)
+exact = hydrogen.genfunc_momentum(z, al, xi, eta, pvec, 1.0)
 print(f"  finite difference : {fd:.12f}")
 print(f"  closed form       : {exact:.12f}")
 print(f"  relative error    : {abs(fd - exact) / abs(exact):.2e}")

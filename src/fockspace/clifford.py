@@ -201,13 +201,13 @@ def bargmann_closed(n: int, x, alpha: complex) -> complex:
 
 
 def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
-                seed: int = 42, chunk: int = 100_000) -> GaussianResult:
+                seed: int = 42) -> GaussianResult:
     """Monte Carlo Gaussian average of exp(alpha z^bar.A_n z).
 
     Levels n >= 2 integrate over C^(2^(n-1)) with the normalized measure
     pi^-s e^-|z|^2; level 1 integrates over R^2 with pi^-1 e^-|u|^2.  Uses
     the counter-based Philox generator: bit-reproducible for a fixed
-    (seed, samples, chunk).
+    (seed, samples, quadrature.CHUNK).
     """
     a = build_A(n, x)
     norm = math.sqrt(sum(v * v for v in a.x))
@@ -234,7 +234,7 @@ def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
         return out
 
     dim = 2 if n == 1 else 2 * size
-    mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed, chunk)
+    mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed)
     return GaussianResult(mean, closed, abs(mean - closed), "monte_carlo", stderr)
 
 

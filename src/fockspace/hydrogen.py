@@ -18,21 +18,22 @@ measures and reports the constant offset per (n, l) instead of asserting
 either convention.
 
 The three generating functions (position side, regulated momentum side,
-momentum side) expand into the bound-state basis; mixed Taylor coefficients
-are recovered numerically by Cauchy circle quadrature in the four expansion
-variables (z, alpha, xi, eta).
+momentum side) expand into the bound-state basis.  They take the expansion
+variables as plain arguments that broadcast together: z (|z| < 1) tracks n,
+alpha tracks l and (xi, eta) track m through the null vector
+a = (-xi^2 + eta^2, -i(xi^2 + eta^2), 2 xi eta).  Mixed Taylor coefficients
+are recovered numerically by Cauchy circle quadrature in (z, alpha, xi, eta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
 from .specfun import (
-    MonomialPair,
     QuantumNumbers,
     gegenbauer,
     laguerre,
@@ -42,13 +43,14 @@ from .specfun import (
 
 __all__ = [
     "FockPoint",
-    "GenFuncParams",
     "normalization",
     "radial_position",
     "psi_position",
     "radial_momentum",
     "psi_momentum",
     "energy",
+    "radial_overlap",
+    "momentum_norm",
     "fock_map",
     "genfunc_position",
     "genfunc_momentum_regulated",
@@ -56,6 +58,7 @@ __all__ = [
     "extract_coefficient",
     "extraction_scale",
     "extraction_nodes",
+    "EXTRACTION_RADII",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -81,28 +84,6 @@ class FockPoint:
     @property
     def x(self) -> float:
         return self.y[3]
-
-
-@dataclass(frozen=True)
-class GenFuncParams:
-    """Expansion variables of the generating functions.
-
-    ``z`` (|z| < 1) tracks the principal quantum number, ``alpha`` the
-    orbital one, the monomial pair (xi, eta) the magnetic one, and ``beta``
-    is the nonnegative regulator used on the momentum side.  Fields may be
-    numpy arrays (broadcast together) for grid evaluation.
-    """
-
-    z: complex
-    alpha: complex
-    pair: MonomialPair = field(default_factory=lambda: MonomialPair(0.0, 0.0))
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if np.max(np.abs(self.z)) >= 1.0:
-            raise ValueError("generating variable must satisfy |z| < 1")
-        if np.min(np.asarray(self.beta, dtype=float)) < 0.0:
-            raise ValueError("regulator beta must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +236,23 @@ def _null_dot(xi, eta, vec):
     return (-xi2 + eta2) * x - 1j * (xi2 + eta2) * y + 2.0 * np.asarray(xi) * np.asarray(eta) * z
 
 
-def _genfunc_position_raw(z, alpha, xi, eta, rvec, delta):
+def _inside_unit_disc(z):
+    z = np.asarray(z)
+    if np.max(np.abs(z)) >= 1.0:
+        raise ValueError("generating variable must satisfy |z| < 1")
+    return z
+
+
+def genfunc_position(z, alpha, xi, eta, rvec, delta):
+    """Position-side generating function.
+
+    z/(1-z)^2 * exp[-omega r (1+z)/(2(1-z)) + alpha omega z (a.r)/(2(1-z)^2)]
+    with omega = 2*delta fixed by the caller's reference state.
+    """
+    z = _inside_unit_disc(z)
     omega = 2.0 * delta
     r = float(np.linalg.norm(np.asarray(rvec, dtype=float)))
     adotr = _null_dot(xi, eta, rvec)
-    z = np.asarray(z)
     one = 1.0 - z
     # (z, alpha) factors combine before they meet the (xi, eta) plane
     return z / one ** 2 * np.exp(
@@ -268,63 +261,42 @@ def _genfunc_position_raw(z, alpha, xi, eta, rvec, delta):
 
 
 def _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta):
-    # (delta(1+z) + beta(1-z))^2 + (1-z)^2 p^2 + 2i alpha delta z (a.p);
-    # beta = 0 gives the denominator of the unregulated momentum side
+    # (delta(1+z) + beta(1-z))^2 + (1-z)^2 p^2 + 2i alpha delta z (a.p),
+    # refused where it vanishes; beta = 0 gives the unregulated momentum side
     pvec = np.asarray(pvec, dtype=float)
-    z = np.asarray(z)
-    return (
+    p2 = float(pvec @ pvec)
+    denom = (
         (delta * (1.0 + z) + beta * (1.0 - z)) ** 2
-        + (1.0 - z) ** 2 * float(pvec @ pvec)
+        + (1.0 - z) ** 2 * p2
         + 2j * alpha * delta * z * _null_dot(xi, eta, pvec)
     )
-
-
-def _genfunc_momentum_regulated_raw(z, alpha, xi, eta, beta, pvec, delta):
-    denom = _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta)
-    return (2.0 / _SQRT2PI) * np.asarray(z) / denom
-
-
-def _genfunc_momentum_raw(z, alpha, xi, eta, pvec, delta):
-    z = np.asarray(z)
-    denom = _momentum_denominator(z, alpha, xi, eta, 0.0, pvec, delta)
-    return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2
-
-
-def _check_denominator(z, alpha, xi, eta, beta, pvec, delta):
-    denom = _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta)
-    if np.min(np.abs(denom)) < 1e-14 * max(1.0, delta ** 2 + float(np.dot(pvec, pvec))):
+    if np.min(np.abs(denom)) < 1e-14 * max(1.0, delta ** 2 + p2):
         raise SingularityError("generating-function denominator vanishes")
+    return denom
 
 
-def genfunc_position(params: GenFuncParams, rvec, delta: float = 1.0):
-    """Position-side generating function.
-
-    z/(1-z)^2 * exp[-omega r (1+z)/(2(1-z)) + alpha omega z (a.r)/(2(1-z)^2)]
-    with omega = 2*delta fixed by the caller's reference state.
-    """
-    return _genfunc_position_raw(
-        params.z, params.alpha, params.pair.xi, params.pair.eta, rvec, delta
-    )
+def genfunc_momentum_regulated(z, alpha, xi, eta, beta, pvec, delta):
+    """Regulated momentum-side generating function, analytic in the regulator beta."""
+    z = _inside_unit_disc(z)
+    denom = _momentum_denominator(z, alpha, xi, eta, beta, pvec, delta)
+    return (2.0 / _SQRT2PI) * z / denom
 
 
-def genfunc_momentum_regulated(params: GenFuncParams, pvec, delta: float = 1.0):
-    """Regulated momentum-side generating function (regulator beta >= 0)."""
-    args = (params.z, params.alpha, params.pair.xi, params.pair.eta, params.beta, pvec, delta)
-    _check_denominator(*args)
-    return _genfunc_momentum_regulated_raw(*args)
-
-
-def genfunc_momentum(params: GenFuncParams, pvec, delta: float = 1.0):
+def genfunc_momentum(z, alpha, xi, eta, pvec, delta):
     """Momentum-side generating function (the -d/dbeta at beta=0 of the
     regulated one)."""
-    args = (params.z, params.alpha, params.pair.xi, params.pair.eta)
-    _check_denominator(*args, 0.0, pvec, delta)
-    return _genfunc_momentum_raw(*args, pvec, delta)
+    z = _inside_unit_disc(z)
+    denom = _momentum_denominator(z, alpha, xi, eta, 0.0, pvec, delta)
+    return (4.0 * delta / _SQRT2PI) * z * (1.0 - z ** 2) / denom ** 2
 
 
 # ---------------------------------------------------------------------------
 # Cauchy coefficient extraction
 # ---------------------------------------------------------------------------
+
+# Cauchy circle radii in (z, alpha, xi, eta)
+EXTRACTION_RADII = (0.4, 0.5, 0.7, 0.7)
+
 
 def extraction_scale(n: int, l: int) -> float:
     """The factor sqrt(4 pi/(2l+1)) / N_nl linking coefficients to psi."""
@@ -347,7 +319,6 @@ def extract_coefficient(
     qn,
     n0: int,
     *,
-    radii=(0.4, 0.5, 0.7, 0.7),
     nodes=(48, 24, 24, 24),
     rtol: float = 1e-6,
     atol: float = 1e-5,
@@ -356,8 +327,8 @@ def extract_coefficient(
 
     Returns a callable mapping a cartesian space point to the coefficient of
     z^n alpha^l phi_lm(xi, eta) at delta = 1/n0, evaluated by iterated
-    trapezoidal Cauchy quadrature on circles |z| = radii[0], |alpha| =
-    radii[1], |xi| = radii[2], |eta| = radii[3].  For a state of the
+    trapezoidal Cauchy quadrature on the circles of ``EXTRACTION_RADII``:
+    |z| = 0.4, |alpha| = 0.5, |xi| = |eta| = 0.7.  For a state of the
     expansion (n = n0) the coefficient equals
     sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).
 
@@ -376,8 +347,8 @@ def extract_coefficient(
     The callable raises ConvergenceError, carrying the achieved residual,
     when the half-node-count rule disagrees with the full rule beyond
     max(rtol * |value|, atol).  The sub-rule aliasing decays much more slowly
-    than the full rule's, so this is a conservative guard against bad radii
-    or starved grids, not a tight error bound.
+    than the full rule's, so this is a conservative guard against starved
+    grids, not a tight error bound.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
@@ -393,19 +364,19 @@ def extract_coefficient(
         raise ValueError("need more z-nodes than the z-degree being extracted")
 
     zc, ac, xic, etac = (r * np.exp(1j * (2.0 * math.pi * np.arange(c) / c))
-                         for r, c in zip(radii, nodes))
+                         for r, c in zip(EXTRACTION_RADII, nodes))
     # trapezoid Cauchy weights: mean of G * node^(-degree) over each circle
     w_za = np.multiply.outer(zc ** (-n) / nodes[0], ac ** (-l) / nodes[1])
     w_xe = np.multiply.outer(xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3])
     grid = np.meshgrid(ac, xic, etac, indexing="ij", sparse=True)
     phi_norm = math.exp(0.5 * (math.lgamma(l + m + 1.0) + math.lgamma(l - m + 1.0)))
 
-    raw = _genfunc_position_raw if kind == "position" else _genfunc_momentum_raw
+    genfunc = genfunc_position if kind == "position" else genfunc_momentum
 
     def coefficient(point) -> complex:
         rows = np.empty((2,) + w_za.shape, dtype=complex)  # full rule, half rule
         for i in range(0, nodes[0], 4):  # at the default nodes a slab is 0.9 MB
-            g = raw(zc[i:i + 4, None, None, None], *grid, point, 1.0 / n0)
+            g = genfunc(zc[i:i + 4, None, None, None], *grid, point, 1.0 / n0)
             rows[0, i:i + 4] = np.einsum("zaxe,xe->za", g, w_xe)
             rows[1, i:i + 4:2, ::2] = np.einsum(
                 "zaxe,xe->za", g[::2, ::2, ::2, ::2], w_xe[::2, ::2])

@@ -331,21 +331,19 @@ class TripleDCheck(NamedTuple):
     residual: float
 
 
-def triple_D_integral(
-    n: int, m1, m2, l: int, m: int,
-    n_theta: int = 64, n_psi: int = 32, n_phi: int = 32,
-) -> TripleDCheck:
+def triple_D_integral(n: int, m1, m2, l: int, m: int) -> TripleDCheck:
     """Haar integral of D^j_(j,m1) D^j_(-j,m2) D^l_(0,m) with j = (n-1)/2.
 
-    numeric: product quadrature, Gauss-Legendre in cos(theta) and uniform
-    psi and phi grids, normalized by 8 pi^2.
+    numeric: product quadrature, 64-node Gauss-Legendre in cos(theta) and a
+    uniform 32-point phi grid, normalized by 8 pi^2.  The psi weights of the
+    three factors are j, -j and 0: they cancel, so the psi integral is 2 pi.
     threej_product: 3j(j,j,l; j,-j,0) * 3j(j,j,l; m1,m2,m).
     The residual is absolute, so selection-rule zeros are compared honestly.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     j = 0.5 * (n - 1)
-    gl = quadrature.gauss_legendre(n_theta)
+    gl = quadrature.gauss_legendre(64)
     theta = np.arccos(gl.nodes)
     dprod = (
         wigner_d_small(j, j, m1, theta)
@@ -353,15 +351,10 @@ def triple_D_integral(
         * wigner_d_small(l, 0, m, theta)
     )
     theta_part = float(np.sum(gl.weights * dprod))
-    # the psi weights of the three factors are j, -j and 0: they cancel, but
-    # run the uniform sums anyway so the whole thing is one product quadrature
-    psi = 2.0 * math.pi * np.arange(n_psi) / n_psi
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    mpsum = 0.0  # total first-index weight
-    psi_part = complex(np.sum(np.exp(-1j * mpsum * psi))) * 2.0 * math.pi / n_psi
+    phi = 2.0 * math.pi * np.arange(32) / 32
     mtot = m1 + m2 + m
-    phi_part = complex(np.sum(np.exp(-1j * mtot * phi))) * 2.0 * math.pi / n_phi
-    numeric = theta_part * psi_part * phi_part / (8.0 * math.pi ** 2)
+    phi_part = complex(np.sum(np.exp(-1j * mtot * phi))) * 2.0 * math.pi / 32
+    numeric = theta_part * (2.0 * math.pi) * phi_part / (8.0 * math.pi ** 2)
     threej = wigner_3j(j, j, l, j, -j, 0) * wigner_3j(j, j, l, m1, m2, m)
     return TripleDCheck(numeric, threej, abs(numeric - threej))
 

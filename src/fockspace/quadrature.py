@@ -37,11 +37,14 @@ __all__ = [
     "radial_hankel",
     "mc_gaussian",
     "BLOCK_ROWS",
+    "CHUNK",
 ]
 
 # Rows per block for integrands that evaluate their samples piecewise, so
 # that their temporaries scale with the block, not with the sample chunk.
 BLOCK_ROWS = 8192
+# Samples per Monte Carlo draw in mc_gaussian, read at call time.
+CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -218,14 +221,13 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     return vals if np.ndim(vals) else complex(vals)
 
 
-def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42,
-                chunk: int = 100_000):
+def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
     """Monte Carlo mean of ``integrand`` under the normalized e^{-|u|^2} measure.
 
     Samples are standard normals with variance 1/2 per component (the
     probability density pi^(-dim/2) e^{-|u|^2}).  Uses the counter-based
     Philox generator, so results are bit-reproducible for a fixed
-    (seed, samples, chunk), and a chunked Welford accumulation for the error.
+    (seed, samples, CHUNK), and a chunked Welford accumulation for the error.
     Integrand values may be real or complex; for complex values the error
     comes from the spread of |value - mean|.
 
@@ -242,7 +244,7 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42,
     m2 = 0.0
     remaining = samples
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(CHUNK, remaining)
         u = rng.normal(0.0, math.sqrt(0.5), size=(take, dim))
         vals = np.asarray(integrand(u))
         if vals.shape != (take,):

@@ -41,8 +41,6 @@ import numpy as np
 
 __all__ = [
     "QuantumNumbers",
-    "MonomialPair",
-    "NullVector",
     "laguerre",
     "gegenbauer",
     "gegenbauer_ladder",
@@ -80,37 +78,6 @@ class QuantumNumbers:
             raise ValueError(f"need 0 <= l <= n-1, got (n, l) = ({self.n}, {self.l})")
         if abs(self.m) > self.l:
             raise ValueError(f"need |m| <= l, got (l, m) = ({self.l}, {self.m})")
-
-
-@dataclass(frozen=True)
-class MonomialPair:
-    """Free spinor components (xi, eta) feeding the monomial basis."""
-
-    xi: complex
-    eta: complex
-
-
-@dataclass(frozen=True)
-class NullVector:
-    """Complex 3-vector with a.a = 0 built from a MonomialPair.
-
-    a1 = -xi^2 + eta^2, a2 = -i(xi^2 + eta^2), a3 = 2 xi eta.
-    """
-
-    a1: complex
-    a2: complex
-    a3: complex
-
-    def __post_init__(self):
-        norm2 = abs(self.a1) ** 2 + abs(self.a2) ** 2 + abs(self.a3) ** 2
-        iso = abs(self.a1 ** 2 + self.a2 ** 2 + self.a3 ** 2)
-        if norm2 > 0.0 and iso > 1e-12 * norm2:
-            raise ValueError(f"components are not isotropic: |a.a| = {iso:.3e}")
-
-    @classmethod
-    def from_pair(cls, pair: MonomialPair) -> "NullVector":
-        xi, eta = complex(pair.xi), complex(pair.eta)
-        return cls(-xi ** 2 + eta ** 2, -1j * (xi ** 2 + eta ** 2), 2.0 * xi * eta)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +278,11 @@ def _bessel_series(l: int, x):
 
 
 def _bessel_upward(l: int, x):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        j0 = np.where(x > 0, np.sin(x) / np.where(x > 0, x, 1.0), 1.0)
+    # only called with x >= max(1e-3, l) > 0
+    j0 = np.sin(x) / x
     if l == 0:
         return j0
-    j1 = np.where(x > 0, j0 / np.where(x > 0, x, 1.0) - np.cos(x) / np.where(x > 0, x, 1.0), 0.0)
+    j1 = j0 / x - np.cos(x) / x
     if l == 1:
         return j1
     for n in range(1, l):

@@ -526,10 +526,10 @@ def suite_hydrogen(rec, seed, nodes):
         pvec = rng.uniform(-1.5, 1.5, size=3)
         delta = rng.uniform(0.3, 1.5)
         h = 1e-5
-        gp = hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, +h, pvec, delta)
-        gm = hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pvec, delta)
+        gp = hydrogen.genfunc_momentum_regulated(z, al, xi, eta, +h, pvec, delta)
+        gm = hydrogen.genfunc_momentum_regulated(z, al, xi, eta, -h, pvec, delta)
         fd = -(gp - gm) / (2.0 * h)
-        exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pvec, delta)
+        exact = hydrogen.genfunc_momentum(z, al, xi, eta, pvec, delta)
         worst = _worst(worst, abs(fd - exact) / abs(exact))
     rec.residual("regulator_derivative_link[random]", {"trials": 10}, worst,
                  "regulator_derivative_link")

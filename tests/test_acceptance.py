@@ -131,9 +131,9 @@ def test_criterion_4_coefficient_extraction():
         pv = rng.uniform(-1.5, 1.5, size=3)
         dl = rng.uniform(0.3, 1.5)
         h = 1e-5
-        fd = -(hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, +h, pv, dl)
-               - hydrogen._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pv, dl)) / (2 * h)
-        exact = hydrogen._genfunc_momentum_raw(z, al, xi, eta, pv, dl)
+        fd = -(hydrogen.genfunc_momentum_regulated(z, al, xi, eta, +h, pv, dl)
+               - hydrogen.genfunc_momentum_regulated(z, al, xi, eta, -h, pv, dl)) / (2 * h)
+        exact = hydrogen.genfunc_momentum(z, al, xi, eta, pv, dl)
         worst_link = _worst(worst_link, abs(fd - exact) / abs(exact))
 
     ok = worst_pos <= 1e-6 and worst_mom <= 1e-6 and worst_link <= 1e-7

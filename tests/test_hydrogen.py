@@ -145,20 +145,19 @@ def test_fock_point_validation():
 # generating functions
 # ---------------------------------------------------------------------------
 
-def _params(z=0.3, alpha=0.2, xi=0.4 + 0.1j, eta=-0.2 + 0.3j, beta=0.0):
-    return hy.GenFuncParams(z, alpha, sf.MonomialPair(xi, eta), beta)
-
-
 def test_genfunc_params_validation():
-    with pytest.raises(ValueError):
-        hy.GenFuncParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        hy.GenFuncParams(0.5, 0.0, sf.MonomialPair(0, 0), -0.1)
+    # every generating function refuses |z| >= 1, also for one bad grid entry
+    for z in (1.0, -1.0, 0.6 + 0.8j, np.array([0.2, 1.5])):
+        with pytest.raises(ValueError):
+            hy.genfunc_position(z, 0.0, 0.0, 0.0, (0.1, 0.2, 0.3), 1.0)
+        with pytest.raises(ValueError):
+            hy.genfunc_momentum_regulated(z, 0.0, 0.0, 0.0, 0.0, (0.1, 0.2, 0.3), 1.0)
+        with pytest.raises(ValueError):
+            hy.genfunc_momentum(z, 0.0, 0.0, 0.0, (0.1, 0.2, 0.3), 1.0)
 
 
 def test_genfunc_position_vanishes_at_z_zero():
-    p = hy.GenFuncParams(0.0, 0.7, sf.MonomialPair(0.3, 0.4))
-    assert hy.genfunc_position(p, (1.0, 2.0, -0.5), 0.5) == 0.0
+    assert hy.genfunc_position(0.0, 0.7, 0.3, 0.4, (1.0, 2.0, -0.5), 0.5) == 0.0
 
 
 def test_genfunc_position_alpha_off_reduction():
@@ -166,8 +165,7 @@ def test_genfunc_position_alpha_off_reduction():
     z, delta = 0.4, 0.5
     rvec = (0.6, -1.1, 0.3)
     r = float(np.linalg.norm(rvec))
-    p = hy.GenFuncParams(z, 0.0, sf.MonomialPair(0.0, 0.0))
-    got = hy.genfunc_position(p, rvec, delta)
+    got = hy.genfunc_position(z, 0.0, 0.0, 0.0, rvec, delta)
     want = z / (1 - z) ** 2 * math.exp(-2 * delta * r * (1 + z) / (2 * (1 - z)))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -176,8 +174,7 @@ def test_genfunc_momentum_regulated_alpha_beta_off():
     z, delta = 0.3, 1.0
     pvec = (0.2, 0.1, -0.4)
     p2 = float(np.dot(pvec, pvec))
-    p = hy.GenFuncParams(z, 0.0, sf.MonomialPair(0.0, 0.0), 0.0)
-    got = hy.genfunc_momentum_regulated(p, pvec, delta)
+    got = hy.genfunc_momentum_regulated(z, 0.0, 0.0, 0.0, 0.0, pvec, delta)
     want = (2.0 / math.sqrt(2 * math.pi)) * z / ((delta * (1 + z)) ** 2 + (1 - z) ** 2 * p2)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -192,10 +189,10 @@ def test_genfunc_momentum_beta_derivative_link():
         pvec = rng.uniform(-1.5, 1.5, size=3)
         delta = rng.uniform(0.3, 1.5)
         h = 1e-5
-        gp = hy._genfunc_momentum_regulated_raw(z, al, xi, eta, +h, pvec, delta)
-        gm = hy._genfunc_momentum_regulated_raw(z, al, xi, eta, -h, pvec, delta)
+        gp = hy.genfunc_momentum_regulated(z, al, xi, eta, +h, pvec, delta)
+        gm = hy.genfunc_momentum_regulated(z, al, xi, eta, -h, pvec, delta)
         fd = -(gp - gm) / (2 * h)
-        exact = hy._genfunc_momentum_raw(z, al, xi, eta, pvec, delta)
+        exact = hy.genfunc_momentum(z, al, xi, eta, pvec, delta)
         assert abs(fd - exact) / abs(exact) < 1e-7
 
 
@@ -217,10 +214,11 @@ def test_genfunc_momentum_singularity_reported():
     # z = 0 would also make the numerator vanish; pick the actual pole:
     # (delta(1+z))^2 + (1-z)^2 p^2 = 0 at p = i-like values is unreachable
     # for real p, but beta can cancel the delta term at z real
-    params = hy.GenFuncParams(0.0, 0.0, sf.MonomialPair(0, 0), 0.0)
     with pytest.raises(SingularityError):
         # delta = 0 makes the denominator vanish at p = 0
-        hy.genfunc_momentum_regulated(params, (0.0, 0.0, 0.0), 0.0)
+        hy.genfunc_momentum_regulated(0.0, 0.0, 0, 0, 0.0, (0.0, 0.0, 0.0), 0.0)
+    with pytest.raises(SingularityError):
+        hy.genfunc_momentum(0.0, 0.0, 0, 0, (0.0, 0.0, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +260,7 @@ def test_extraction_momentum_reproduces_psi_up_to_unit(n, l, m):
     assert np.max(np.abs(got - unit * want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def _reference_extraction(kind, qn, n0, point, radii=(0.4, 0.5, 0.7, 0.7),
-                          nodes=(48, 24, 24, 24)):
+def _reference_extraction(kind, qn, n0, point, nodes=(48, 24, 24, 24)):
     """The coefficient and half-grid residual from one weighted copy of the grid.
 
     The product rule written out in full: G times every circle's weight at
@@ -271,11 +268,11 @@ def _reference_extraction(kind, qn, n0, point, radii=(0.4, 0.5, 0.7, 0.7),
     """
     n, l, m = qn
     zc, ac, xic, etac = (
-        r * np.exp(2j * math.pi * np.arange(c) / c) for r, c in zip(radii, nodes)
+        r * np.exp(2j * math.pi * np.arange(c) / c) for r, c in zip(hy.EXTRACTION_RADII, nodes)
     )
-    raw = hy._genfunc_position_raw if kind == "position" else hy._genfunc_momentum_raw
-    g = raw(zc[:, None, None, None], ac[None, :, None, None], xic[None, None, :, None],
-            etac[None, None, None, :], point, 1.0 / n0)
+    genfunc = hy.genfunc_position if kind == "position" else hy.genfunc_momentum
+    g = genfunc(zc[:, None, None, None], ac[None, :, None, None], xic[None, None, :, None],
+                etac[None, None, None, :], point, 1.0 / n0)
     weighted = np.einsum(
         "zaxe,z,a,x,e->zaxe", g, zc ** (-n) / nodes[0], ac ** (-l) / nodes[1],
         xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3],

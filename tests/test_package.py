@@ -1,5 +1,7 @@
-"""Package surface: every exported name exists and every demo runs."""
+"""Package surface: every exported name exists and every demo runs on it."""
 
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,30 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _fockspace_names_used(tree):
+    """(module, name) for each fockspace name a demo imports or reads off a module."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fockspace":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fockspace."):
+            for alias in node.names:
+                yield node.module.split(".", 1)[1], alias.name
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fockspace") for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_uses_only_exported_names(demo):
+    used = set(_fockspace_names_used(ast.parse(demo.read_text())))
+    assert used
+    private = sorted(f"{mod}.{name}" for mod, name in used
+                     if name not in importlib.import_module(f"fockspace.{mod}").__all__)
+    assert not private

@@ -161,21 +161,24 @@ def test_mc_deterministic_for_fixed_seed():
     assert a == b
 
 
-def test_mc_chunking_invariance():
+def test_mc_chunking_invariance(monkeypatch):
     f = lambda u: u[:, 0] ** 2
-    a = qr.mc_gaussian(1, f, 30_000, seed=2, chunk=30_000)
-    b = qr.mc_gaussian(1, f, 30_000, seed=2, chunk=7_000)
+    monkeypatch.setattr(qr, "CHUNK", 30_000)
+    a = qr.mc_gaussian(1, f, 30_000, seed=2)
+    monkeypatch.setattr(qr, "CHUNK", 7_000)
+    b = qr.mc_gaussian(1, f, 30_000, seed=2)
     # same Philox stream, same totals; only the merge order differs
     assert a[0] == pytest.approx(b[0], rel=1e-12)
     assert a[1] == pytest.approx(b[1], rel=1e-9)
 
 
-def test_mc_complex_integrand_splits_into_parts():
+def test_mc_complex_integrand_splits_into_parts(monkeypatch):
     g = lambda u: np.cos(u[:, 0] * u[:, 1])
     h = lambda u: u[:, 0] ** 2 - u[:, 1]
-    est, err = qr.mc_gaussian(2, lambda u: g(u) + 1j * h(u), 30_000, seed=4, chunk=7_000)
-    est_g, err_g = qr.mc_gaussian(2, g, 30_000, seed=4, chunk=7_000)
-    est_h, err_h = qr.mc_gaussian(2, h, 30_000, seed=4, chunk=7_000)
+    monkeypatch.setattr(qr, "CHUNK", 7_000)
+    est, err = qr.mc_gaussian(2, lambda u: g(u) + 1j * h(u), 30_000, seed=4)
+    est_g, err_g = qr.mc_gaussian(2, g, 30_000, seed=4)
+    est_h, err_h = qr.mc_gaussian(2, h, 30_000, seed=4)
     assert isinstance(est, complex)
     assert est.real == pytest.approx(est_g, rel=1e-13)
     assert est.imag == pytest.approx(est_h, rel=1e-13)

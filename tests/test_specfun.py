@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, lpmv, spherical_jn
 from scipy.linalg import expm
 
-from fockspace import specfun as sf
+from fockspace import hydrogen as hy, specfun as sf
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +529,12 @@ def test_monomial_pair_values():
 )
 @settings(max_examples=120, deadline=None)
 def test_null_vector_isotropy(xr, xi, er, ei):
-    vec = sf.NullVector.from_pair(sf.MonomialPair(complex(xr, xi), complex(er, ei)))
-    norm2 = abs(vec.a1) ** 2 + abs(vec.a2) ** 2 + abs(vec.a3) ** 2
-    iso = abs(vec.a1 ** 2 + vec.a2 ** 2 + vec.a3 ** 2)
+    # the components the generating functions use: a.e_k for the unit vectors
+    pair = (complex(xr, xi), complex(er, ei))
+    a = [complex(hy._null_dot(*pair, e)) for e in np.eye(3)]
+    norm2 = sum(abs(c) ** 2 for c in a)
+    iso = abs(sum(c * c for c in a))
     assert iso <= 1e-13 * max(norm2, 1e-300)
-
-
-def test_null_vector_rejects_non_isotropic():
-    with pytest.raises(ValueError):
-        sf.NullVector(1.0, 0.0, 0.0)
 
 
 def test_quantum_numbers_validation():
