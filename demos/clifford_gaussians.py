@@ -7,14 +7,15 @@ A_n = sum_i x_i Gamma_i with Gamma_i^2 = -I and pairwise anticommutation
 
 so the Gaussian average of exp(alpha z^bar.A_n z) is a pure power of the
 Gegenbauer generating-function kernel.  Three independent routes below:
-LU determinants, Monte Carlo integration, and the Gegenbauer series.
+LU determinants, randomly shifted lattice-rule integration (the
+Monte Carlo route), and the Gegenbauer series.
 """
 
 import math
 
 import numpy as np
 
-from fockspace import clifford
+from fockspace import clifford, quadrature
 
 rng = np.random.default_rng(2)
 
@@ -45,12 +46,14 @@ for n in range(1, 6):
           f"worst rel residual {worst:.2e}")
 print()
 
-print("Monte Carlo cross-check of the Gaussian closed form (10^6 samples):")
+samples = 32 * quadrature.LATTICE_POINTS
+print(f"Lattice-rule cross-check of the Gaussian closed form "
+      f"(32 shifts of the lattice, {samples:,} points):")
 for (n, x, alpha) in [
     (2, (0.0, 0.0, 0.0, 0.5), 0.3),
     (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.2),
 ]:
-    res = clifford.gaussian_mc(n, x, alpha, samples=1_000_000, seed=5)
+    res = clifford.gaussian_mc(n, x, alpha, samples=samples, seed=5)
     sig = res.residual / res.stderr
     print(f"  level {n}: mc {res.value.real:.6f} vs closed {res.closed_form.real:.6f} "
           f"({sig:.2f} sigma)")

@@ -13,7 +13,7 @@ Subpackages:
   determinant identities.
 * ``identities`` - the Gegenbauer / hyperspherical identity checks.
 * ``quadrature`` - Gauss rules, product angular grids, the radial Hankel
-  transform, seeded Monte Carlo.
+  transform, a seeded randomly shifted lattice rule for Gaussian averages.
 * ``verify``     - verification suites producing machine-readable reports.
 * ``cli``        - the ``fockspace`` command-line tool.
 

@@ -10,7 +10,8 @@ anticommute; the last one is the identity.  This structure forces
 (exponent 1 at level 1), so the Gaussian average of exp(alpha z^bar.A_n z)
 equals the generating function of Gegenbauer polynomials of order 2^(n-2)
 evaluated at x_last/|x| — the identity family this module verifies with a
-determinant route and an independent Monte Carlo route.
+determinant route and an independent Monte Carlo route (a randomly
+shifted lattice rule).
 """
 
 from __future__ import annotations
@@ -200,14 +201,15 @@ def bargmann_closed(n: int, x, alpha: complex) -> complex:
     return 1.0 / det
 
 
-def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
+def gaussian_mc(n: int, x, alpha: complex,
+                samples: int = 32 * quadrature.LATTICE_POINTS,
                 seed: int = 42) -> GaussianResult:
-    """Monte Carlo Gaussian average of exp(alpha z^bar.A_n z).
+    """Lattice-rule Gaussian average of exp(alpha z^bar.A_n z).
 
     Levels n >= 2 integrate over C^(2^(n-1)) with the normalized measure
-    pi^-s e^-|z|^2; level 1 integrates over R^2 with pi^-1 e^-|u|^2.  Uses
-    the counter-based Philox generator: bit-reproducible for a fixed
-    (seed, samples, quadrature.CHUNK).
+    pi^-s e^-|z|^2; level 1 integrates over R^2 with pi^-1 e^-|u|^2.  The
+    points and the error come from ``quadrature.mc_gaussian``:
+    bit-reproducible for a fixed (seed, samples).
     """
     a = build_A(n, x)
     norm = math.sqrt(sum(v * v for v in a.x))
@@ -215,23 +217,16 @@ def gaussian_mc(n: int, x, alpha: complex, samples: int = 1_000_000,
         raise IntegrabilityError(
             f"need |alpha| * |x| < 1 for integrability, got {abs(alpha) * norm}"
         )
-    if samples < 10_000:
-        raise ValueError(f"need at least 10^4 samples, got {samples}")
     closed = bargmann_closed(n, x, alpha)
     size = a.entries.shape[0]
 
     def integrand(u):
         if n == 1:  # real variables
             return np.exp(alpha * np.einsum("ki,ij,kj->k", u, a.entries, u))
-        # one draw of 2*size normals per sample: real parts, then imaginary;
-        # the samples are then evaluated over fixed row blocks
-        re, im = u.reshape(2, len(u), size)
-        out = np.empty(len(u), dtype=complex)
-        for i in range(0, len(u), quadrature.BLOCK_ROWS):
-            rows = slice(i, i + quadrature.BLOCK_ROWS)
-            z = re[rows] + 1j * im[rows]
-            out[rows] = np.exp(alpha * np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z))
-        return out
+        # each row is one point of C^size: its real parts, then its imaginary
+        # parts, so that the lattice structure carries over to z
+        z = u[:, :size] + 1j * u[:, size:]
+        return np.exp(alpha * np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z))
 
     dim = 2 if n == 1 else 2 * size
     mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed)

@@ -1,13 +1,14 @@
-"""Deterministic quadrature engines and the seeded Monte Carlo integrator.
+"""Deterministic quadrature engines and the seeded lattice-rule integrator.
 
 Gauss-Legendre and Gauss-Hermite rules come from numpy; generalized
 Gauss-Laguerre rules are built here by Golub-Welsch, with scipy's
 tridiagonal eigensolver imported only when the first one is built.  This
 module wraps them behind a small immutable rule type, adds the product
 rules used for angular and 3-sphere integrals, the radial Hankel transform
-that serves as the independent Fourier oracle, and a Welford-accumulated
-Gaussian Monte Carlo estimator.  The estimator takes real or complex
-integrands; it is the one ``clifford.gaussian_mc`` uses.
+that serves as the independent Fourier oracle, and a randomly shifted
+rank-1 lattice estimator of Gaussian averages.  The estimator takes real or
+complex integrands; it is the one ``clifford.gaussian_mc`` and the Monte
+Carlo route of ``quadmaps.ks_integral`` use.
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
@@ -37,14 +38,23 @@ __all__ = [
     "radial_hankel",
     "mc_gaussian",
     "BLOCK_ROWS",
-    "CHUNK",
+    "LATTICE_POINTS",
+    "LATTICE_GENERATORS",
 ]
 
-# Rows per block for integrands that evaluate their samples piecewise, so
-# that their temporaries scale with the block, not with the sample chunk.
+# Rows per block for integrands evaluated over a large point set (the lifted
+# Gauss-Hermite mesh), so that their temporaries scale with the block.
 BLOCK_ROWS = 8192
-# Samples per Monte Carlo draw in mc_gaussian, read at call time.
-CHUNK = 100_000
+# The Korobov lattices of mc_gaussian.  Point k of the unshifted lattice is
+# frac(k * (1, a, a^2, ..., a^(dim-1)) / N) with N = LATTICE_POINTS, a prime
+# no larger than BLOCK_ROWS, so an integrand sees one block of rows per call.
+# LATTICE_GENERATORS maps a dimension to its generator a, chosen by the P_2
+# figure of merit alone: the a in [2, N/2] with the smallest P_2 at that
+# dimension, the smaller a where two tie (a and +-1/a give the same lattice
+# up to the order and the signs of the coordinates).  A dimension that is
+# not a key uses the generator of the next larger key, or of the largest.
+LATTICE_POINTS = 8191
+LATTICE_GENERATORS = {2: 2431, 4: 622, 8: 1724}
 
 
 @dataclass(frozen=True)
@@ -222,43 +232,51 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
 
 
 def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
-    """Monte Carlo mean of ``integrand`` under the normalized e^{-|u|^2} measure.
+    """Lattice-rule mean of ``integrand`` under the normalized e^{-|u|^2} measure.
 
-    Samples are standard normals with variance 1/2 per component (the
-    probability density pi^(-dim/2) e^{-|u|^2}).  Uses the counter-based
-    Philox generator, so results are bit-reproducible for a fixed
-    (seed, samples, CHUNK), and a chunked Welford accumulation for the error.
-    Integrand values may be real or complex; for complex values the error
-    comes from the spread of |value - mean|.
+    The density is pi^(-dim/2) e^{-|u|^2}, a normal with variance 1/2 per
+    component.  The points are ``samples // LATTICE_POINTS`` independent
+    uniform shifts of the rank-1 Korobov lattice (Cranley-Patterson
+    rotation), folded by the tent (baker's) transform and mapped through the
+    inverse normal CDF; the remainder of ``samples`` is not used.  Each
+    shift is an unbiased estimate; the result is the mean of the shift means
+    and the error is their standard deviation over sqrt(shifts).  Shifts
+    come from the counter-based Philox generator, so results are
+    bit-reproducible for a fixed (seed, samples).  ``integrand`` is called
+    once per shift, on a (LATTICE_POINTS, dim) array, and may return real or
+    complex values; for complex values the error comes from the spread of
+    |shift mean - mean|.
 
     Returns (estimate, stderr): the estimate is a float for real values and
     a complex for complex ones.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
+    shifts = samples // LATTICE_POINTS
+    if shifts < 2:
+        raise ValueError(
+            f"need at least 2 shifts of {LATTICE_POINTS} points for an error "
+            f"estimate, got {samples} samples"
+        )
+    # deferred: importing scipy would dominate the start-up of short commands
+    from scipy.special import ndtri
+    key = min((d for d in LATTICE_GENERATORS if d >= dim), default=max(LATTICE_GENERATORS))
+    gen = np.array([pow(LATTICE_GENERATORS[key], j, LATTICE_POINTS) for j in range(dim)])
+    lattice = np.multiply.outer(np.arange(LATTICE_POINTS), gen) % LATTICE_POINTS
+    lattice = lattice / LATTICE_POINTS
     rng = np.random.Generator(np.random.Philox(seed))
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    remaining = samples
-    while remaining > 0:
-        take = min(CHUNK, remaining)
-        u = rng.normal(0.0, math.sqrt(0.5), size=(take, dim))
+    means = []
+    for shift in rng.random((shifts, dim)):
+        # the tent transform 1 - |2 frac(y) - 1| of a shifted point y, in the
+        # form 2 |y - rint(y)| that rounds only in forming y
+        y = lattice + shift
+        y -= np.rint(y)
+        u = ndtri(2.0 * np.abs(y)) * math.sqrt(0.5)
         vals = np.asarray(integrand(u))
-        if vals.shape != (take,):
+        if vals.shape != (LATTICE_POINTS,):
             raise ValueError("integrand must map (k, dim) samples to (k,) values")
-        bmean = np.mean(vals).item()
-        bm2 = float(np.sum(np.abs(vals - bmean) ** 2))
-        # Chan et al. pairwise merge of (count, mean, m2) aggregates
-        delta = bmean - mean
-        tot = count + take
-        m2 = m2 + bm2 + abs(delta) ** 2 * count * take / tot
-        mean = mean + delta * take / tot
-        count = tot
-        remaining -= take
-        del u, vals  # free this chunk before the next draw allocates its own
-    var = m2 / (count - 1) if count > 1 else 0.0
-    stderr = math.sqrt(var / count)
-    return mean, stderr
+        means.append(np.mean(vals))
+    means = np.array(means)
+    mean = np.mean(means).item()
+    var = float(np.sum(np.abs(means - mean) ** 2)) / (shifts - 1)
+    return mean, math.sqrt(var / shifts)

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+# Points per Monte Carlo case: 32 shifts of the lattice.  The stderr comes
+# from the spread of the shift means, so with fewer shifts it is noisier and
+# a correct case judged at 3 sigma fails by chance more often.
+MC_SAMPLES = 32 * quadrature.LATTICE_POINTS
 
 # Default tolerance of every check family; ``--tol key=value`` overrides one.
 TOLERANCES = {
@@ -611,7 +615,7 @@ def suite_maps(rec, seed, nodes):
              res.value, math.pi ** 1.5, "ks_integral")
     res = quadmaps.ks_integral(
         lambda p: np.exp(-np.linalg.norm(p, axis=-1)), method="mc",
-        samples=1_000_000, seed=seed,
+        samples=MC_SAMPLES, seed=seed,
     )
     rec.case("ks_integral_exp[mc]", {"f": "exp(-r)", "stderr": res.error},
              res.value, 8.0 * math.pi, "ks_integral")
@@ -619,7 +623,7 @@ def suite_maps(rec, seed, nodes):
                 exp_integral_relative_error=abs(res.value - 8.0 * math.pi) / (8.0 * math.pi))
     res = quadmaps.ks_integral(
         lambda p: (np.sum(p ** 2, axis=-1) < 1.0).astype(float), method="mc",
-        samples=1_000_000, seed=seed + 1,
+        samples=MC_SAMPLES, seed=seed + 1,
     )
     rec.case("ks_integral_ball[mc]", {"f": "1(r<1)", "stderr": res.error},
              res.value, 4.0 * math.pi / 3.0, "ks_integral_mc")
@@ -718,9 +722,9 @@ def suite_clifford(rec, seed, nodes):
         (2, (0.0, 0.0, 0.0, 0.5), 0.3),
         (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.2),
     ]:
-        res = clifford.gaussian_mc(n, x, alpha, samples=1_000_000, seed=seed + n)
+        res = clifford.gaussian_mc(n, x, alpha, samples=MC_SAMPLES, seed=seed + n)
         rec.case(f"gaussian_mc[n={n}]",
-                 {"n": n, "alpha": alpha, "stderr": res.stderr, "samples": 1_000_000},
+                 {"n": n, "alpha": alpha, "stderr": res.stderr, "samples": MC_SAMPLES},
                  res.value, res.closed_form, 3.0 * res.stderr, residual=res.residual)
 
     # Gegenbauer-series form of the closed result

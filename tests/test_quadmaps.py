@@ -1,12 +1,13 @@
 """Quadratic norm-squaring maps and the lifted 3-space integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockspace import quadmaps as qm
+from fockspace import quadmaps as qm, quadrature as qr
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -124,37 +125,68 @@ def test_ks_integral_gaussian_quadrature():
     assert res.value == pytest.approx(math.pi ** 1.5, rel=5e-3)
 
 
+N = qr.LATTICE_POINTS
+
+
 def test_ks_integral_exponential_mc():
-    res = qm.ks_integral(exp_decay, method="mc", samples=400_000, seed=3)
+    res = qm.ks_integral(exp_decay, method="mc", samples=32 * N, seed=3)
     assert res.method == "mc"
     assert res.value == pytest.approx(8.0 * math.pi, rel=5e-3)
     assert abs(res.value - 8.0 * math.pi) < 4.0 * res.error
 
 
 def test_ks_integral_ball_mc():
-    res = qm.ks_integral(ball_indicator, method="mc", samples=1_000_000, seed=4)
+    res = qm.ks_integral(ball_indicator, method="mc", samples=32 * N, seed=4)
     assert res.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-2)
 
 
-def _unblocked_lifted_values(f, u):
-    # the lifted integrand evaluated over all of u at once
-    xyz, r = qm.ks_map(u)
-    return np.asarray(f(xyz), dtype=float) * r * np.exp(r)
+def test_ks_integral_mc_stderr_is_honest():
+    # the verify suite's ks_integral_exp[mc] case over 40 seeds: the spread
+    # of the estimates matches the error each run reports
+    runs = [qm.ks_integral(exp_decay, method="mc", samples=32 * N, seed=s) for s in range(40)]
+    spread = np.std([r.value for r in runs], ddof=1)
+    assert 0.6 <= spread / np.mean([r.error for r in runs]) <= 1.6
+
+
+def _whole_slab_hermite_lift(f, rule):
+    # the lift evaluated one first-axis slab of npts^3 mesh points at a time
+    t, w = rule.nodes, rule.weights
+    npts = len(t)
+    block = np.empty((npts ** 3, 4))
+    block[:, 1:] = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    wtail = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
+    total = 0.0
+    for i in range(npts):
+        block[:, 0] = t[i]
+        total += w[i] * float(np.sum(wtail * qm._lifted_values(f, block)))
+    return 4.0 / math.pi * total
 
 
 @pytest.mark.parametrize("f", [exp_decay, ball_indicator])
-def test_ks_integral_blocks_are_bit_identical_to_whole_chunks(f, monkeypatch):
-    # 30_001, the 23_457-sample last chunk and the default rule's 28^3 rows
-    # per slab are not multiples of the block
-    runs = [dict(method="mc", samples=30_001, seed=6),
-            dict(method="mc", samples=123_457, seed=6),
-            dict(method="quadrature")]
-    got = [qm.ks_integral(f, **kw) for kw in runs]
-    monkeypatch.setattr(qm, "_lifted_values", _unblocked_lifted_values)
-    want = [qm.ks_integral(f, **kw) for kw in runs]
-    for g, w in zip(got, want):
-        assert float(g.value).hex() == float(w.value).hex()
-        assert float(g.error).hex() == float(w.error).hex()
+def test_ks_integral_blocks_match_the_whole_mesh(f):
+    # 13^4 and 28^4 mesh points are not multiples of the block; only the
+    # summation order differs from the whole-slab lift
+    for npts in (13, 28):
+        rule = qr.gauss_hermite(npts)
+        want = _whole_slab_hermite_lift(f, rule)
+        assert qm._hermite_lift(f, rule) == pytest.approx(want, rel=1e-13, abs=1e-15)
+    # the lattice rule uses whole shifts only: an odd sample count drops its
+    # remainder
+    odd = qm.ks_integral(f, method="mc", samples=2 * N + 4321, seed=6)
+    assert odd == qm.ks_integral(f, method="mc", samples=2 * N, seed=6)
+
+
+def test_hermite_lift_working_set_is_bounded():
+    # one first-axis slab of the 40^4 mesh at a time peaked at 5.1 MB of
+    # traced allocations
+    rule = qr.gauss_hermite(40)
+    tracemalloc.start()
+    try:
+        qm._hermite_lift(exp_decay, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_ks_integral_error_estimate_reported():

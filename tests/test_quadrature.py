@@ -136,49 +136,83 @@ def test_hankel_parseval():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# Monte Carlo: the randomly shifted lattice rule
 # ---------------------------------------------------------------------------
 
+N = qr.LATTICE_POINTS
+# P_2 of each generator at its own dimension, as found by the generator search
+PINNED_P2 = {2: 3.839497515256696e-06, 4: 3.750548442209123e-03, 8: 11.244338328625965}
+
+
+def _p2(a, dim):
+    # P_2 = -1 + mean over the lattice of prod_j (1 + 2 pi^2 B_2(x_j)),
+    # with the Bernoulli polynomial B_2(x) = x^2 - x + 1/6
+    x = np.multiply.outer(np.arange(N), [pow(a, j, N) for j in range(dim)]) % N / N
+    terms = 1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+    return float(np.mean(np.prod(terms, axis=1)) - 1.0)
+
+
+@pytest.mark.parametrize("dim", sorted(qr.LATTICE_GENERATORS))
+def test_lattice_generator_is_pinned(dim):
+    a = qr.LATTICE_GENERATORS[dim]
+    assert math.gcd(a, N) == 1 and 2 <= a <= N // 2
+    # distinct lattice coordinates in every dimension the generator serves:
+    # up to its key, and up to the 64 of a level-6 Clifford average for the
+    # largest key
+    span = 64 if dim == max(qr.LATTICE_GENERATORS) else dim
+    assert len({pow(a, j, N) for j in range(span)}) == span
+    assert _p2(a, dim) == pytest.approx(PINNED_P2[dim], rel=1e-12)
+
+
 def test_mc_constant_is_exact():
-    est, err = qr.mc_gaussian(3, lambda u: np.ones(len(u)), 20_000, seed=1)
+    est, err = qr.mc_gaussian(3, lambda u: np.ones(len(u)), 2 * N, seed=1)
     assert est == 1.0
     assert err == 0.0
 
 
 def test_mc_second_moment():
-    est, err = qr.mc_gaussian(2, lambda u: u[:, 0] ** 2, 200_000, seed=7)
+    est, err = qr.mc_gaussian(2, lambda u: u[:, 0] ** 2, 24 * N, seed=7)
     assert abs(est - 0.5) < 4.0 * err
 
 
 def test_mc_norm_moment_4d():
-    est, err = qr.mc_gaussian(4, lambda u: np.sum(u ** 2, axis=1), 200_000, seed=11)
+    est, err = qr.mc_gaussian(4, lambda u: np.sum(u ** 2, axis=1), 24 * N, seed=11)
     assert abs(est - 2.0) < 4.0 * err
 
 
 def test_mc_deterministic_for_fixed_seed():
-    a = qr.mc_gaussian(3, lambda u: np.cos(u[:, 0] + u[:, 1] * u[:, 2]), 50_000, seed=5)
-    b = qr.mc_gaussian(3, lambda u: np.cos(u[:, 0] + u[:, 1] * u[:, 2]), 50_000, seed=5)
+    a = qr.mc_gaussian(3, lambda u: np.cos(u[:, 0] + u[:, 1] * u[:, 2]), 6 * N, seed=5)
+    b = qr.mc_gaussian(3, lambda u: np.cos(u[:, 0] + u[:, 1] * u[:, 2]), 6 * N, seed=5)
     assert a == b
 
 
-def test_mc_chunking_invariance(monkeypatch):
+def test_mc_chunking_invariance():
+    # the points come in whole shifts of the lattice, one integrand call
+    # each: the remainder of samples is not used, and the result is the mean
+    # of the shift means with their standard error
     f = lambda u: u[:, 0] ** 2
-    monkeypatch.setattr(qr, "CHUNK", 30_000)
-    a = qr.mc_gaussian(1, f, 30_000, seed=2)
-    monkeypatch.setattr(qr, "CHUNK", 7_000)
-    b = qr.mc_gaussian(1, f, 30_000, seed=2)
-    # same Philox stream, same totals; only the merge order differs
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1] == pytest.approx(b[1], rel=1e-9)
+    a = qr.mc_gaussian(1, f, 3 * N, seed=2)
+    assert qr.mc_gaussian(1, f, 4 * N - 1, seed=2) == a
+    shift_means = []
+
+    def recording(u):
+        assert u.shape == (N, 1)
+        vals = f(u)
+        shift_means.append(np.mean(vals))
+        return vals
+
+    assert qr.mc_gaussian(1, recording, 3 * N, seed=2) == a
+    assert len(shift_means) == 3
+    assert a[0] == pytest.approx(np.mean(shift_means), rel=1e-15)
+    assert a[1] == pytest.approx(np.std(shift_means, ddof=1) / math.sqrt(3), rel=1e-12)
 
 
-def test_mc_complex_integrand_splits_into_parts(monkeypatch):
+def test_mc_complex_integrand_splits_into_parts():
     g = lambda u: np.cos(u[:, 0] * u[:, 1])
     h = lambda u: u[:, 0] ** 2 - u[:, 1]
-    monkeypatch.setattr(qr, "CHUNK", 7_000)
-    est, err = qr.mc_gaussian(2, lambda u: g(u) + 1j * h(u), 30_000, seed=4)
-    est_g, err_g = qr.mc_gaussian(2, g, 30_000, seed=4)
-    est_h, err_h = qr.mc_gaussian(2, h, 30_000, seed=4)
+    est, err = qr.mc_gaussian(2, lambda u: g(u) + 1j * h(u), 4 * N, seed=4)
+    est_g, err_g = qr.mc_gaussian(2, g, 4 * N, seed=4)
+    est_h, err_h = qr.mc_gaussian(2, h, 4 * N, seed=4)
     assert isinstance(est, complex)
     assert est.real == pytest.approx(est_g, rel=1e-13)
     assert est.imag == pytest.approx(est_h, rel=1e-13)
@@ -186,7 +220,10 @@ def test_mc_complex_integrand_splits_into_parts(monkeypatch):
 
 
 def test_mc_input_validation():
-    with pytest.raises(ValueError):
-        qr.mc_gaussian(0, lambda u: u[:, 0], 100)
-    with pytest.raises(ValueError):
-        qr.mc_gaussian(2, lambda u: np.zeros((len(u), 2)), 100)
+    with pytest.raises(ValueError, match="dimension"):
+        qr.mc_gaussian(0, lambda u: u[:, 0], 2 * N)
+    with pytest.raises(ValueError, match="integrand"):
+        qr.mc_gaussian(2, lambda u: np.zeros((len(u), 2)), 2 * N)
+    # one shift gives no error estimate
+    with pytest.raises(ValueError, match="2 shifts"):
+        qr.mc_gaussian(2, lambda u: u[:, 0], 2 * N - 1)
