@@ -46,14 +46,13 @@ for n in range(1, 6):
           f"worst rel residual {worst:.2e}")
 print()
 
-samples = 32 * quadrature.LATTICE_POINTS
 print(f"Lattice-rule cross-check of the Gaussian closed form "
-      f"(32 shifts of the lattice, {samples:,} points):")
+      f"({quadrature.DEFAULT_SAMPLES:,} points, 32 shifts of the lattice):")
 for (n, x, alpha) in [
     (2, (0.0, 0.0, 0.0, 0.5), 0.3),
     (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.2),
 ]:
-    res = clifford.gaussian_mc(n, x, alpha, samples=samples, seed=5)
+    res = clifford.gaussian_mc(n, x, alpha, seed=5)
     sig = res.residual / res.stderr
     print(f"  level {n}: mc {res.value.real:.6f} vs closed {res.closed_form.real:.6f} "
           f"({sig:.2f} sigma)")

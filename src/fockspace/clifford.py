@@ -202,7 +202,7 @@ def bargmann_closed(n: int, x, alpha: complex) -> complex:
 
 
 def gaussian_mc(n: int, x, alpha: complex,
-                samples: int = 32 * quadrature.LATTICE_POINTS,
+                samples: int = quadrature.DEFAULT_SAMPLES,
                 seed: int = 42) -> GaussianResult:
     """Lattice-rule Gaussian average of exp(alpha z^bar.A_n z).
 
@@ -210,25 +210,41 @@ def gaussian_mc(n: int, x, alpha: complex,
     pi^-s e^-|z|^2; level 1 integrates over R^2 with pi^-1 e^-|u|^2.  The
     points and the error come from ``quadrature.mc_gaussian``:
     bit-reproducible for a fixed (seed, samples).
+
+    The points are drawn from a Gaussian widened by c^2 = (1 + g)/(1 - g),
+    g = |alpha| |x|, and reweighted by the ratio of the two densities.
+    Since A_n^dagger A_n = |x|^2 I, the integrand grows at most like
+    e^{g|z|^2}; the reweighted one decays like e^{-g|w|^2}.  Without the
+    reweighting, the growth puts much of the mean in the few lattice points
+    nearest the faces of the unit cube, so the shift means are skewed, and a
+    run that misses those points is low with a small spread.
     """
     a = build_A(n, x)
     norm = math.sqrt(sum(v * v for v in a.x))
-    if abs(alpha) * norm >= 1.0:
+    growth = abs(alpha) * norm
+    if growth >= 1.0:
         raise IntegrabilityError(
-            f"need |alpha| * |x| < 1 for integrability, got {abs(alpha) * norm}"
+            f"need |alpha| * |x| < 1 for integrability, got {growth}"
         )
     closed = bargmann_closed(n, x, alpha)
     size = a.entries.shape[0]
+    dim = 2 if n == 1 else 2 * size
+    widen = (1.0 + growth) / (1.0 - growth)
+    # z = c w with w ~ e^-|w|^2 and c^2 = widen:
+    #   E[f(z)] = E[c^dim e^{-(c^2 - 1)|w|^2} f(c w)]
+    coeff = alpha * widen
+    log_jacobian = 0.5 * dim * math.log(widen)
 
     def integrand(u):
         if n == 1:  # real variables
-            return np.exp(alpha * np.einsum("ki,ij,kj->k", u, a.entries, u))
-        # each row is one point of C^size: its real parts, then its imaginary
-        # parts, so that the lattice structure carries over to z
-        z = u[:, :size] + 1j * u[:, size:]
-        return np.exp(alpha * np.einsum("ki,ij,kj->k", np.conj(z), a.entries, z))
+            quad = np.einsum("ki,ki->k", u, u @ a.entries.T)
+        else:
+            # each row is one point of C^size: its real parts, then its
+            # imaginary parts, so that the lattice structure carries over to z
+            z = u[:, :size] + 1j * u[:, size:]
+            quad = np.einsum("ki,ki->k", np.conj(z), z @ a.entries.T)
+        return np.exp(coeff * quad - (widen - 1.0) * np.einsum("ki,ki->k", u, u) + log_jacobian)
 
-    dim = 2 if n == 1 else 2 * size
     mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed)
     return GaussianResult(mean, closed, abs(mean - closed), "monte_carlo", stderr)
 

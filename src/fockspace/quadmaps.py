@@ -132,7 +132,7 @@ def ks_integral(
     rule: "quadrature.QuadratureRule | None" = None,
     *,
     method: str = "quadrature",
-    samples: int = 32 * quadrature.LATTICE_POINTS,
+    samples: int = quadrature.DEFAULT_SAMPLES,
     seed: int = 42,
 ) -> KSIntegralResult:
     """Integrate a scalar field over R^3 through the 4-space lift.

@@ -40,6 +40,7 @@ __all__ = [
     "BLOCK_ROWS",
     "LATTICE_POINTS",
     "LATTICE_GENERATORS",
+    "DEFAULT_SAMPLES",
 ]
 
 # Rows per block for integrands evaluated over a large point set (the lifted
@@ -55,6 +56,11 @@ BLOCK_ROWS = 8192
 # not a key uses the generator of the next larger key, or of the largest.
 LATTICE_POINTS = 8191
 LATTICE_GENERATORS = {2: 2431, 4: 622, 8: 1724}
+# Default point budget of the Monte Carlo routes: 32 shifts of the lattice.
+# The error is the spread of the shift means, so the fewer the shifts, the
+# noisier the error and the more often a check judged in multiples of it
+# fails by chance.
+DEFAULT_SAMPLES = 32 * LATTICE_POINTS
 
 
 @dataclass(frozen=True)
@@ -235,28 +241,29 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
     """Lattice-rule mean of ``integrand`` under the normalized e^{-|u|^2} measure.
 
     The density is pi^(-dim/2) e^{-|u|^2}, a normal with variance 1/2 per
-    component.  The points are ``samples // LATTICE_POINTS`` independent
-    uniform shifts of the rank-1 Korobov lattice (Cranley-Patterson
-    rotation), folded by the tent (baker's) transform and mapped through the
-    inverse normal CDF; the remainder of ``samples`` is not used.  Each
-    shift is an unbiased estimate; the result is the mean of the shift means
-    and the error is their standard deviation over sqrt(shifts).  Shifts
-    come from the counter-based Philox generator, so results are
-    bit-reproducible for a fixed (seed, samples).  ``integrand`` is called
-    once per shift, on a (LATTICE_POINTS, dim) array, and may return real or
-    complex values; for complex values the error comes from the spread of
-    |shift mean - mean|.
+    component.  The points are ``ceil(samples / LATTICE_POINTS)``
+    independent uniform shifts of the rank-1 Korobov lattice
+    (Cranley-Patterson rotation), folded by the tent (baker's) transform and
+    mapped through the inverse normal CDF.  So ``samples`` is rounded up to
+    whole shifts, and since the error needs two shifts it must exceed
+    LATTICE_POINTS.  Each shift is an unbiased estimate; the result is the
+    mean of the shift means and the error is their standard deviation over
+    sqrt(shifts).  Shifts come from the counter-based Philox generator, so
+    results are bit-reproducible for a fixed (seed, samples).  ``integrand``
+    is called once per shift, on a (LATTICE_POINTS, dim) array, and may
+    return real or complex values; for complex values the error comes from
+    the spread of |shift mean - mean|.
 
     Returns (estimate, stderr): the estimate is a float for real values and
     a complex for complex ones.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    shifts = samples // LATTICE_POINTS
+    shifts = -(-samples // LATTICE_POINTS)
     if shifts < 2:
         raise ValueError(
-            f"need at least 2 shifts of {LATTICE_POINTS} points for an error "
-            f"estimate, got {samples} samples"
+            f"need more than {LATTICE_POINTS} samples (two shifts) for an "
+            f"error estimate, got {samples}"
         )
     # deferred: importing scipy would dominate the start-up of short commands
     from scipy.special import ndtri

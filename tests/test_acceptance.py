@@ -154,9 +154,8 @@ def test_criterion_5_ks_measure_identity():
     gauss = lambda p: np.exp(-np.sum(p ** 2, axis=-1))
     q1 = quadmaps.ks_integral(exp_decay)
     q2 = quadmaps.ks_integral(gauss)
-    samples = 32 * quadrature.LATTICE_POINTS
-    m1 = quadmaps.ks_integral(exp_decay, method="mc", samples=samples, seed=SEED)
-    m2 = quadmaps.ks_integral(gauss, method="mc", samples=samples, seed=SEED + 1)
+    m1 = quadmaps.ks_integral(exp_decay, method="mc", seed=SEED)
+    m2 = quadmaps.ks_integral(gauss, method="mc", seed=SEED + 1)
     errs = {
         "exp(-r) quad": abs(q1.value - 8 * math.pi) / (8 * math.pi),
         "exp(-r^2) quad": abs(q2.value - math.pi ** 1.5) / math.pi ** 1.5,
@@ -192,10 +191,8 @@ def test_criterion_6_clifford_determinant_family():
             for gj in gam[i + 1:-1]:
                 exact &= bool(np.array_equal(gi @ gj + gj @ gi, np.zeros_like(eye)))
 
-    samples = 32 * quadrature.LATTICE_POINTS
-    mc2 = clifford.gaussian_mc(2, (0, 0, 0, 0.5), 0.3, samples=samples, seed=SEED)
-    mc3 = clifford.gaussian_mc(3, (0.1, 0.05, -0.1, 0.2, 0.1, 0.3), 0.2,
-                               samples=samples, seed=SEED + 1)
+    mc2 = clifford.gaussian_mc(2, (0, 0, 0, 0.5), 0.3, seed=SEED)
+    mc3 = clifford.gaussian_mc(3, (0.1, 0.05, -0.1, 0.2, 0.1, 0.3), 0.2, seed=SEED + 1)
     mc_ok = mc2.residual <= 3 * mc2.stderr and mc3.residual <= 3 * mc3.stderr
 
     ok = worst_det <= 1e-9 and exact and mc_ok

@@ -188,11 +188,12 @@ def test_mc_deterministic_for_fixed_seed():
 
 def test_mc_chunking_invariance():
     # the points come in whole shifts of the lattice, one integrand call
-    # each: the remainder of samples is not used, and the result is the mean
-    # of the shift means with their standard error
+    # each: samples is rounded up to whole shifts, and the result is the
+    # mean of the shift means with their standard error
     f = lambda u: u[:, 0] ** 2
     a = qr.mc_gaussian(1, f, 3 * N, seed=2)
-    assert qr.mc_gaussian(1, f, 4 * N - 1, seed=2) == a
+    assert qr.mc_gaussian(1, f, 2 * N + 1, seed=2) == a
+    assert qr.mc_gaussian(1, f, 3 * N + 1, seed=2) != a
     shift_means = []
 
     def recording(u):
@@ -224,6 +225,7 @@ def test_mc_input_validation():
         qr.mc_gaussian(0, lambda u: u[:, 0], 2 * N)
     with pytest.raises(ValueError, match="integrand"):
         qr.mc_gaussian(2, lambda u: np.zeros((len(u), 2)), 2 * N)
-    # one shift gives no error estimate
-    with pytest.raises(ValueError, match="2 shifts"):
-        qr.mc_gaussian(2, lambda u: u[:, 0], 2 * N - 1)
+    # one shift gives no error estimate; 10^4 samples round up to two
+    with pytest.raises(ValueError, match="two shifts"):
+        qr.mc_gaussian(2, lambda u: u[:, 0], N)
+    assert qr.mc_gaussian(2, lambda u: u[:, 0], 10_000)[1] > 0
