@@ -234,15 +234,20 @@ def gaussian_mc(n: int, x, alpha: complex,
     #   E[f(z)] = E[c^dim e^{-(c^2 - 1)|w|^2} f(c w)]
     coeff = alpha * widen
     log_jacobian = 0.5 * dim * math.log(widen)
+    # the quadratic form summed over the nonzero entries of A_n: at these
+    # sizes a matrix product costs several times more, and may run
+    # multithreaded BLAS
+    terms = [(i, j, a.entries[i, j]) for i, j in zip(*np.nonzero(a.entries))]
 
     def integrand(u):
         if n == 1:  # real variables
-            quad = np.einsum("ki,ki->k", u, u @ a.entries.T)
+            z = zbar = u
         else:
             # each row is one point of C^size: its real parts, then its
             # imaginary parts, so that the lattice structure carries over to z
             z = u[:, :size] + 1j * u[:, size:]
-            quad = np.einsum("ki,ki->k", np.conj(z), z @ a.entries.T)
+            zbar = np.conj(z)
+        quad = sum(aij * zbar[:, i] * z[:, j] for i, j, aij in terms)
         return np.exp(coeff * quad - (widen - 1.0) * np.einsum("ki,ki->k", u, u) + log_jacobian)
 
     mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed)
