@@ -209,7 +209,8 @@ def gaussian_mc(n: int, x, alpha: complex,
     Levels n >= 2 integrate over C^(2^(n-1)) with the normalized measure
     pi^-s e^-|z|^2; level 1 integrates over R^2 with pi^-1 e^-|u|^2.  The
     points and the error come from ``quadrature.mc_gaussian``:
-    bit-reproducible for a fixed (seed, samples).
+    bit-reproducible for a fixed (seed, samples), with ``samples`` rounded
+    up to whole shifts of the lattice and more than one shift.
 
     The points are drawn from a Gaussian widened by c^2 = (1 + g)/(1 - g),
     g = |alpha| |x|, and reweighted by the ratio of the two densities.

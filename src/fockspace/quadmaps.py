@@ -145,7 +145,8 @@ def ks_integral(
     the reported error compares against the half-size rule.
     method="mc": the randomly shifted lattice rule of
     ``quadrature.mc_gaussian``, bit-reproducible for a fixed (seed, samples);
-    the reported error is the standard error over the shifts.
+    ``samples`` is rounded up to whole shifts of the lattice and must exceed
+    one shift.  The reported error is the standard error over the shifts.
     """
     if method == "quadrature":
         base = rule if rule is not None else quadrature.gauss_hermite(28)
