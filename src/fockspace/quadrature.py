@@ -41,6 +41,7 @@ __all__ = [
     "LATTICE_POINTS",
     "LATTICE_GENERATORS",
     "DEFAULT_SAMPLES",
+    "LOG_ZERO_WEIGHT",
 ]
 
 # Rows per block for integrands evaluated over a large point set (the lifted
@@ -61,6 +62,9 @@ LATTICE_GENERATORS = {2: 2431, 4: 622, 8: 1724}
 # noisier the error and the more often a check judged in multiples of it
 # fails by chance.
 DEFAULT_SAMPLES = 32 * LATTICE_POINTS
+# A Gauss-Laguerre weight whose bound has a log below this rounds to 0.0:
+# the smallest subnormal double is e^-744.4, and the margin is e^56.
+LOG_ZERO_WEIGHT = math.log(np.finfo(float).smallest_subnormal) - 56.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,12 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
 
     Built by Golub-Welsch (symmetric tridiagonal Jacobi eigenproblem), which
     stays finite for any node count, unlike recurrence-evaluated weights.
+    The weight recurrence runs only over the nodes whose weight can be
+    nonzero.  By the separation theorem (Szego, Orthogonal Polynomials,
+    Thm 3.41.1) w_i is below the tail mass beyond x_(i-1), which for
+    x > 2(a+1) is below x^a e^-x / (1 - max(a, 0)/x).  The weights after the
+    first node where the log of that bound is below LOG_ZERO_WEIGHT (about
+    -800) are 0.0, as the full recurrence also gives them.
     """
     if not 2 <= npts <= 4096:
         raise ValueError(f"node count must be in [2, 4096], got {npts}")
@@ -124,27 +134,45 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     diag = 2.0 * k + a + 1.0
     off = np.sqrt(k[1:] * (k[1:] + a))
     nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    mass = math.exp(math.lgamma(a + 1.0))
+    # Separation theorem: w_i < mu((x_(i-1), inf)), the tail of t^a e^-t,
+    # which for x > 2(a+1) is below x^a e^-x / (1 - a+/x), a+ = max(a, 0).
+    # The log of that bound falls with x, so the nodes whose weight can be
+    # nonzero are a prefix: up to and including the first node past the cut.
+    first = np.searchsorted(nodes, 2.0 * (a + 1.0), side="right")
+    t = nodes[first:]
+    log_tail = a * np.log(t) - t - np.log1p(-max(a, 0.0) / t)
+    live = min(npts, first + 1 + np.count_nonzero(log_tail >= LOG_ZERO_WEIGHT))
+    x = nodes[:live]
     # weights from the Christoffel-Darboux kernel of the orthonormal
     # polynomials: w_i = 1 / sum_k q_k(x_i)^2.  Extreme nodes grow huge
     # kernel terms (their true weights underflow), so rescale per node and
-    # carry the log of the scale.
-    mass = math.exp(math.lgamma(a + 1.0))
-    q_prev = np.zeros_like(nodes)
-    q_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
+    # carry the log of the scale.  Each node's arithmetic involves no other
+    # node, so cutting the rest leaves every live weight's bits unchanged.
+    q_prev = np.zeros_like(x)
+    q_cur = np.full_like(x, 1.0 / math.sqrt(mass))
     kernel = q_cur ** 2
-    log_scale = np.zeros_like(nodes)
+    log_scale = np.zeros_like(x)
+    scratch = np.empty_like(x)
     for i in range(npts - 1):
-        b_next = math.sqrt((i + 1.0) * (i + 1.0 + a))
-        b_cur = math.sqrt(i * (i + a)) if i > 0 else 0.0
-        q_prev, q_cur = q_cur, ((nodes - diag[i]) * q_cur - b_cur * q_prev) / b_next
-        kernel += q_cur ** 2
-        big = np.abs(q_cur) > 1e100
-        if np.any(big):
+        b_cur = off[i - 1] if i > 0 else 0.0
+        # q_next = ((x - diag_i) q_cur - b_cur q_prev) / b_next, into q_prev
+        np.subtract(x, diag[i], out=scratch)
+        np.multiply(scratch, q_cur, out=scratch)
+        np.multiply(q_prev, b_cur, out=q_prev)
+        np.subtract(scratch, q_prev, out=q_prev)
+        np.divide(q_prev, off[i], out=q_prev)
+        q_prev, q_cur = q_cur, q_prev
+        kernel += np.square(q_cur, out=scratch)
+        np.abs(q_cur, out=scratch)
+        if scratch.max() > 1e100:
+            big = scratch > 1e100
             q_cur[big] *= 1e-100
             q_prev[big] *= 1e-100
             kernel[big] *= 1e-200
             log_scale[big] -= 100.0 * math.log(10.0)
-    weights = np.exp(2.0 * log_scale) / kernel
+    weights = np.zeros_like(nodes)
+    weights[:live] = np.exp(2.0 * log_scale) / kernel
     return QuadratureRule("laguerre", nodes, weights, alpha=a, measure=mass)
 
 

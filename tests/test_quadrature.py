@@ -48,6 +48,58 @@ def test_laguerre_weight_sum_is_gamma():
     assert np.sum(rule.weights) == pytest.approx(math.gamma(3.5), rel=1e-13)
 
 
+def _reference_laguerre(npts, a):
+    # Golub-Welsch with the weight recurrence over every node, as it was
+    # before the weights were built only where they can be nonzero
+    from scipy.linalg import eigh_tridiagonal
+    k = np.arange(npts, dtype=float)
+    diag = 2.0 * k + a + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + a))
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    mass = math.exp(math.lgamma(a + 1.0))
+    q_prev = np.zeros_like(nodes)
+    q_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
+    kernel = q_cur ** 2
+    log_scale = np.zeros_like(nodes)
+    for i in range(npts - 1):
+        b_next = math.sqrt((i + 1.0) * (i + 1.0 + a))
+        b_cur = math.sqrt(i * (i + a)) if i > 0 else 0.0
+        q_prev, q_cur = q_cur, ((nodes - diag[i]) * q_cur - b_cur * q_prev) / b_next
+        kernel += q_cur ** 2
+        big = np.abs(q_cur) > 1e100
+        if np.any(big):
+            q_cur[big] *= 1e-100
+            q_prev[big] *= 1e-100
+            kernel[big] *= 1e-200
+            log_scale[big] -= 100.0 * math.log(10.0)
+    return nodes, np.exp(2.0 * log_scale) / kernel
+
+
+@pytest.mark.parametrize("npts, a", [
+    *((n, a) for n in (2, 3, 10, 100, 190, 300, 639, 1151)
+      for a in (-0.5, 0.0, 0.5, 2.0, 3.0, 7.0, 12.0)),
+    (4096, 3.0),
+    (2175, 7.0),
+])
+def test_laguerre_cut_is_bit_identical_to_the_full_recurrence(npts, a):
+    rule = qr.gauss_laguerre(npts, a)
+    nodes, weights = _reference_laguerre(npts, a)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+
+
+def test_laguerre_zero_weight_tail_and_moments_at_4096():
+    a = 3.0
+    rule = qr.gauss_laguerre(4096, a)
+    live = np.count_nonzero(rule.weights)
+    assert 0 < live < 4096
+    assert np.all(rule.weights[:live] > 0.0)
+    assert np.all(rule.weights[live:] == 0.0)
+    for k in range(5):
+        got = rule.integrate(lambda t: t ** k)
+        assert got == pytest.approx(math.gamma(a + k + 1.0), rel=1e-12)
+
+
 def test_hermite_moments():
     rule = qr.gauss_hermite(24)
     assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
