@@ -27,6 +27,7 @@ are recovered numerically by Cauchy circle quadrature in (z, alpha, xi, eta).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,7 +79,7 @@ class FockPoint:
         if len(self.y) != 4:
             raise ValueError("Fock point needs four components")
         norm = sum(c * c for c in self.y)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN component fails too
             raise ValueError(f"|y|^2 = {norm!r} is not 1")
 
     @property
@@ -106,9 +107,36 @@ def radial_position(n: int, l: int, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    x = 2.0 * r / n
-    val = normalization(n, l) * x ** l * np.exp(-0.5 * x) * laguerre(n - l - 1, 2 * l + 1, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 2.0 * r / n
+        val = normalization(n, l) * x ** l * np.exp(-0.5 * x) * laguerre(n - l - 1, 2 * l + 1, x)
+    if not _all_finite(val):
+        far = ~np.isfinite(val) & ~np.isnan(x)
+        val = np.array(val)
+        val[far] = _radial_position_logs(n, l, x[far])
     return val if val.ndim else float(val)
+
+
+def _all_finite(val) -> bool:
+    # cmath takes float and complex scalars, quicker than a numpy reduction
+    return bool(np.isfinite(val).all()) if isinstance(val, np.ndarray) else cmath.isfinite(val)
+
+
+def _radial_position_logs(n: int, l: int, x):
+    # R_nl where x^l or L(x) overflows: the Laguerre recurrence run on
+    # L_i(x) / x^i, and the factors multiplied as a sum of logs, so that the
+    # result underflows to 0 where the direct product forms inf * 0.
+    x = np.minimum(x, np.finfo(float).max)
+    k, a = n - l - 1, 2.0 * l + 1.0
+    prev, cur = np.ones_like(x), np.ones_like(x)
+    if k:
+        cur = (1.0 + a - x) / x
+    for i in range(1, k):
+        prev, cur = cur, ((2 * i + 1 + a - x) / x * cur - (i + a) / x / x * prev) / (i + 1)
+    log_norm = math.log(2.0 / n ** 2) + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
+    with np.errstate(divide="ignore"):
+        log_abs = log_norm + (n - 1) * np.log(x) - 0.5 * x + np.log(np.abs(cur))
+    return np.sign(cur) * np.exp(log_abs)
 
 
 def psi_position(qn: QuantumNumbers, rvec) -> complex:
@@ -130,17 +158,23 @@ def radial_momentum(n: int, l: int, p):
     QuantumNumbers(n, l, 0)
     p = np.asarray(p, dtype=float)
     delta = 1.0 / n
-    p2d2 = p ** 2 + delta ** 2
-    x = (p ** 2 - delta ** 2) / p2d2
-    val = (
-        1j ** l
-        * normalization(n, l)
-        * math.exp(math.lgamma(l + 1.0)) / _SQRT2PI
-        * n * (4.0 * delta) ** (l + 1)
-        / p2d2 ** (l + 2)
-        * gegenbauer(n - l - 1, l + 1.0, x)
-        * p ** l
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2d2 = p ** 2 + delta ** 2
+        x = (p ** 2 - delta ** 2) / p2d2
+        pl = p ** l
+        val = (
+            1j ** l
+            * normalization(n, l)
+            * math.exp(math.lgamma(l + 1.0)) / _SQRT2PI
+            * n * (4.0 * delta) ** (l + 1)
+            / p2d2 ** (l + 2)
+            * gegenbauer(n - l - 1, l + 1.0, x)
+            * pl
+        )
+    # where p^2 or p^l overflows, |val| is below a modest constant times
+    # p^-(l+4), which underflows: the product formed inf / inf or inf * 0
+    if not _all_finite(val):
+        val = np.where(np.isinf(p2d2) | np.isinf(pl), 0j, val)
     return val if np.ndim(val) else complex(val)
 
 
@@ -213,8 +247,13 @@ def fock_map(pvec, delta: float) -> FockPoint:
     pvec = np.asarray(pvec, dtype=float)
     if pvec.ndim == 0:
         pvec = np.array([0.0, 0.0, float(pvec)])
-    p2 = float(pvec @ pvec)
+    with np.errstate(over="ignore"):
+        p2 = float(pvec @ pvec)
     denom = p2 + delta * delta
+    if math.isinf(denom) and np.all(np.isfinite(pvec)) and math.isfinite(delta):
+        # p^2 + delta^2 overflowed; y is invariant under scaling (p, delta)
+        scale = max(float(np.max(np.abs(pvec))), delta)
+        return fock_map(pvec / scale, delta / scale)
     y = (
         2.0 * delta * pvec[0] / denom,
         2.0 * delta * pvec[1] / denom,

@@ -155,12 +155,19 @@ def spherical_angles(vec) -> tuple:
     (-pi, pi]; the origin gives (0.0, 0.0, 0.0).
     """
     vec = np.asarray(vec, dtype=float)
-    r = float(np.linalg.norm(vec))
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(vec))
+    if math.isinf(r) and np.all(np.isfinite(vec)):
+        # |vec|^2 overflowed: take the angles from vec / max|vec|
+        scale = float(np.max(np.abs(vec)))
+        vec = vec / scale
+        r = float(np.linalg.norm(vec))
     if r == 0.0:
         return 0.0, 0.0, 0.0
     theta = math.acos(min(1.0, max(-1.0, vec[2] / r)))
     phi = math.atan2(vec[1], vec[0])
-    return r, theta, phi
+    return r * scale, theta, phi
 
 
 def _legendre_column(L: int, m: int, costheta, sintheta):
@@ -241,7 +248,7 @@ def spherical_bessel(l: int, x):
     """Spherical Bessel function j_l(x) for x >= 0.
 
     Uses the power series near zero, upward recurrence where it is stable
-    (x >= l) and Miller's downward recurrence otherwise.
+    (x >= l) and Miller's downward recurrence otherwise; j_l(inf) = 0.
     """
     if l < 0 or l != int(l):
         raise ValueError(f"order must be a nonnegative integer, got {l}")
@@ -254,7 +261,10 @@ def spherical_bessel(l: int, x):
     tiny = x < 1e-3
     if np.any(tiny):
         out[tiny] = _bessel_series(l, x[tiny])
-    big = ~tiny
+    # j_l(x) -> 0 as x -> inf; the recurrences would form sin(inf) / inf
+    inf = x == np.inf
+    out[inf] = 0.0
+    big = ~(tiny | inf)
     if np.any(big):
         xb = x[big]
         res = np.empty_like(xb)

@@ -114,14 +114,26 @@ def test_eval_rejects_non_finite_point():
                        "--point", *point)
         assert proc.returncode == 2
         assert "--point" in proc.stderr and not proc.stdout
-    # a finite point whose value overflows is refused too, not printed as nan
-    proc = run_cli("eval", "position", "--n", "2", "--l", "1", "--m", "0",
-                   "--point", "1e200", "0", "0")
-    assert proc.returncode == 2 and not proc.stdout
+
+
+def test_far_points_print_the_underflowed_values():
+    # the true values are finite there: 0 for the wavefunctions, y4 = 1
+    for kind in ("position", "momentum"):
+        proc = run_cli("eval", kind, "--n", "2", "--l", "1", "--m", "0",
+                       "--point", "1e200", "0", "0")
+        assert proc.returncode == 0 and not proc.stderr
+        assert proc.stdout.splitlines()[1].split(",")[-3:] == ["0", "0", "0"]
+    proc = run_cli("table", "radial", "--n", "3", "--l", "0", "--grid", "0", "1e200", "3")
+    assert proc.returncode == 0 and not proc.stderr
+    assert [row.split(",")[1] for row in proc.stdout.splitlines()[2:]] == ["0", "0"]
+    proc = run_cli("table", "fock", "--delta", "1", "--grid-p", "0", "1e308", "3")
+    assert proc.returncode == 0 and not proc.stderr
+    assert [row.split(",")[4] for row in proc.stdout.splitlines()[1:]] == ["-1", "1", "1"]
 
 
 def test_table_rejects_non_finite_values():
-    proc = run_cli("table", "fock", "--delta", "1", "--grid-p", "0", "1e308", "3")
+    # C_400^(400)(1) = binom(1199, 400) is beyond the largest double
+    proc = run_cli("table", "gegenbauer", "--m", "400", "--a", "400", "--grid", "0.5", "1", "3")
     assert proc.returncode == 2
     assert "overflows" in proc.stderr and not proc.stdout
     proc = run_cli("table", "radial", "--n", "1", "--l", "0", "--grid", "0", "1", "nan")
@@ -131,9 +143,8 @@ def test_table_rejects_non_finite_values():
 
 def test_overflow_refusal_prints_only_the_usage_error():
     for args in (
-        ("table", "fock", "--delta", "1", "--grid-p", "0", "1e308", "3"),
-        ("eval", "position", "--n", "2", "--l", "1", "--m", "0", "--point", "1e200", "0", "0"),
-        ("eval", "momentum", "--n", "2", "--l", "1", "--m", "0", "--point", "1e200", "0", "0"),
+        ("table", "gegenbauer", "--m", "400", "--a", "400", "--grid", "0.5", "1", "3"),
+        ("table", "gegenbauer", "--m", "400", "--a", "400", "--grid", "1", "1", "1", "--format", "json"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2 and not proc.stdout

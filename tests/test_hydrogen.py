@@ -1,6 +1,7 @@
 """Bound states, the sphere projection, generating functions, extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,35 @@ def test_radial_orthogonality():
 def test_radial_rejects_negative_radius():
     with pytest.raises(ValueError):
         hy.radial_position(1, 0, -0.1)
+
+
+def test_radial_functions_underflow_to_zero_far_out():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hy.radial_position(3, 0, 1e200) == 0.0
+        assert hy.radial_position(1, 0, 1.7e308) == 0.0
+        assert hy.radial_momentum(3, 0, 1e160) == 0.0
+        assert hy.radial_momentum(3, 2, math.inf) == 0.0
+        qn = sf.QuantumNumbers(2, 1, 0)
+        for point in ((1e200, 0.0, 0.0), (0.0, 0.0, 1e200), (1e200, 1e200, 1e200)):
+            assert hy.psi_position(qn, point) == 0.0
+            assert hy.psi_momentum(qn, point) == 0.0
+        # values in range keep their bits, and NaN stays NaN
+        r = hy.radial_position(3, 0, [2.5, 1e200, math.nan])
+        assert r[0] == hy.radial_position(3, 0, [2.5])[0] and r[1] == 0.0 and math.isnan(r[2])
+        p = hy.radial_momentum(3, 1, [0.4, 1e160, math.nan])
+        assert p[0] == hy.radial_momentum(3, 1, [0.4])[0] and p[1] == 0.0
+        assert np.isnan(p[2])
+
+
+def test_radial_position_in_logs_where_the_product_overflows():
+    # R_(200,100): x^100 overflows near x = 1300, where R is about 1e-64
+    # (mpmath at 50 digits: -7.47943839015507e-65 at r = 1.3e5)
+    assert hy.radial_position(200, 100, 1.3e5) == pytest.approx(-7.47943839015507e-65, rel=1e-12)
+    x = np.array([1.0, 40.0, 600.0])
+    with np.errstate(under="ignore"):
+        direct = hy.radial_position(200, 100, 100.0 * x)
+    assert np.allclose(hy._radial_position_logs(200, 100, x), direct, rtol=1e-11, atol=0.0)
 
 
 def test_radial_node_count():
@@ -139,6 +169,18 @@ def test_fock_point_validation():
         hy.FockPoint((1.0, 0.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         hy.fock_map((0, 0, 1), 0.0)
+    with pytest.raises(ValueError):
+        hy.FockPoint((0.0, 0.0, 0.0, math.nan))
+
+
+def test_fock_map_where_p_squared_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = hy.fock_map((0.0, 0.0, 5e307), 1.0)
+        assert far.y[3] == 1.0 and far.y[:2] == (0.0, 0.0)
+        assert far.y[2] == pytest.approx(2.0 / 5e307, rel=1e-15)
+        assert hy.fock_map((3e200, 0.0, 4e200), 5e200).y == pytest.approx((0.6, 0.0, 0.8, 0.0), abs=1e-15)
+        assert hy.fock_map((0.0, 0.0, 0.0), 1e200).y == (0.0, 0.0, 0.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ D-matrices.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,23 @@ def test_bessel_closed_forms():
     for x in [0.1, 1.0, 7.5, 40.0]:
         want1 = math.sin(x) / x ** 2 - math.cos(x) / x
         assert sf.spherical_bessel(1, x) == pytest.approx(want1, rel=1e-10, abs=1e-14)
+
+
+def test_bessel_at_infinity_is_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.spherical_bessel(0, math.inf) == 0.0
+        got = sf.spherical_bessel(3, [math.inf, 1e300, 2.0])
+    assert got[0] == 0.0
+    assert got[1] == sf.spherical_bessel(3, 1e300) and got[2] == sf.spherical_bessel(3, 2.0)
+
+
+def test_spherical_angles_where_the_squared_norm_overflows():
+    assert sf.spherical_angles((0.0, 0.0, 1e200)) == (1e200, 0.0, 0.0)
+    r, theta, phi = sf.spherical_angles((1e200, 1e200, 1e200))
+    assert r == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+    assert theta == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), rel=1e-15)
+    assert phi == pytest.approx(math.pi / 4, rel=1e-15)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 20])
