@@ -345,49 +345,41 @@ def extraction_scale(n: int, l: int) -> float:
 def extraction_nodes(l: int) -> tuple:
     """Cauchy node counts (z, alpha, xi, eta) sized to the xi and eta degree 2l.
 
-    k = max(4, 4l + 2) nodes in xi and eta keep the half rule (k/2 >= 2l + 1
-    nodes) exact in both; see ``extract_coefficient``.  The z and alpha axes
-    alias, so they keep the default 48 and 24 nodes.
+    Any k > 2l nodes are exact (see ``extract_coefficient``).  k = max(4,
+    4l + 2), twice that, is the grid whose values the hydrogen suite reports
+    and whose size perfbench counts; fewer nodes would move both.
     """
     k = max(4, 4 * l + 2)
     return (48, 24, k, k)
 
 
-def extract_coefficient(
-    kind: str,
-    qn,
-    n0: int,
-    *,
-    nodes=(48, 24, 24, 24),
-    rtol: float = 1e-6,
-    atol: float = 1e-5,
-):
+# the guard's bound on the top 4 z bins: max(_RTOL * |value|, _ATOL)
+_RTOL, _ATOL = 1e-6, 1e-5
+
+
+def extract_coefficient(kind: str, qn, n0: int, *, nodes=(48, 24, 24, 24)):
     """Numeric mixed Taylor coefficient of a generating function.
 
     Returns a callable mapping a cartesian space point to the coefficient of
-    z^n alpha^l phi_lm(xi, eta) at delta = 1/n0, evaluated by iterated
-    trapezoidal Cauchy quadrature on the circles of ``EXTRACTION_RADII``:
-    |z| = 0.4, |alpha| = 0.5, |xi| = |eta| = 0.7.  For a state of the
-    expansion (n = n0) the coefficient equals
+    z^n alpha^l phi_lm(xi, eta) at delta = 1/n0, by the trapezoidal Cauchy
+    rule on the circles ``EXTRACTION_RADII`` (|z| = 0.4, |alpha| = 0.5,
+    |xi| = |eta| = 0.7).  For a state of the expansion (n = n0) it equals
     sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).
 
-    The alpha^l coefficient of both generating functions is (a.v)^l times a
-    factor in z, and a.v is quadratic in (xi, eta), so in xi and in eta it is
-    a polynomial of degree 2l.  An M-node trapezoid rule picks xi^(l+m) out of
-    it exactly when M > 2l, and likewise eta^(l-m): only the z and alpha axes
-    alias.  ``extraction_nodes(l)`` gives the smallest grid whose half rule is
-    still exact in xi and eta; the default 24 nodes cover every l <= 5.
+    Only z aliases.  Every term z^n alpha^l of both generating functions has
+    l <= n - 1 and is (a.v)^l times a factor in z, with a.v quadratic in
+    (xi, eta).  So M nodes pick alpha^l out exactly once M > max(l, n - 1),
+    and xi^(l+m) or eta^(l-m) once M > 2l.  Other grids raise ValueError, as
+    do fewer than n + 5 z nodes.
 
-    The weights node^(-degree) / count are built once per call, as a (z, alpha)
-    plane and a (xi, eta) plane.  Each point evaluates the generating function
-    on slabs of 4 z nodes, never on the whole grid at once, contracts each slab
-    with the (xi, eta) plane and sums the rows against the (z, alpha) plane.
-
-    The callable raises ConvergenceError, carrying the achieved residual,
-    when the half-node-count rule disagrees with the full rule beyond
-    max(rtol * |value|, atol).  The sub-rule aliasing decays much more slowly
-    than the full rule's, so this is a conservative guard against starved
-    grids, not a tight error bound.
+    Each point contracts the generating function over (alpha, xi, eta), in
+    slabs of 4 z nodes, to a line over the z circle.  Its FFT over
+    count * radius^n holds in bin k the z^k coefficient times radius^(k-n),
+    plus aliases of degree k + count, k + 2 count, ...; bin n is the value.
+    The top 4 bins hold lower degrees than any alias of bin n, so for
+    geometrically decaying coefficients their largest modulus bounds the
+    aliasing error.  Past max(1e-6 |value|, 1e-5) the callable raises
+    ConvergenceError carrying it: the z rule is starved.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
@@ -397,36 +389,34 @@ def extract_coefficient(
         n, l, m = qn
     if n < 1 or l < 0 or abs(m) > l:
         raise ValueError(f"invalid coefficient labels (n, l, m) = ({n}, {l}, {m})")
-    if any(c % 2 or c < 4 for c in nodes):
-        raise ValueError("node counts must be even and at least 4")
-    if nodes[0] <= n + 1:
-        raise ValueError("need more z-nodes than the z-degree being extracted")
+    if nodes[0] < n + 5 or nodes[1] <= max(l, n - 1) or min(nodes[2:]) <= 2 * l:
+        raise ValueError(f"grid {tuple(nodes)} too small for (n, l) = ({n}, {l})")
 
     zc, ac, xic, etac = (r * np.exp(1j * (2.0 * math.pi * np.arange(c) / c))
                          for r, c in zip(EXTRACTION_RADII, nodes))
     # trapezoid Cauchy weights: mean of G * node^(-degree) over each circle
-    w_za = np.multiply.outer(zc ** (-n) / nodes[0], ac ** (-l) / nodes[1])
-    w_xe = np.multiply.outer(xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3])
+    weights = np.einsum("a,x,e->axe", ac ** (-l) / nodes[1],
+                        xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3])
     grid = np.meshgrid(ac, xic, etac, indexing="ij", sparse=True)
+    norm = nodes[0] * EXTRACTION_RADII[0] ** n
     phi_norm = math.exp(0.5 * (math.lgamma(l + m + 1.0) + math.lgamma(l - m + 1.0)))
 
     genfunc = genfunc_position if kind == "position" else genfunc_momentum
 
     def coefficient(point) -> complex:
-        rows = np.empty((2,) + w_za.shape, dtype=complex)  # full rule, half rule
+        line = np.empty(nodes[0], dtype=complex)
         for i in range(0, nodes[0], 4):  # at the default nodes a slab is 0.9 MB
             g = genfunc(zc[i:i + 4, None, None, None], *grid, point, 1.0 / n0)
-            rows[0, i:i + 4] = np.einsum("zaxe,xe->za", g, w_xe)
-            rows[1, i:i + 4:2, ::2] = np.einsum(
-                "zaxe,xe->za", g[::2, ::2, ::2, ::2], w_xe[::2, ::2])
-        full = complex(np.sum(w_za * rows[0]))
-        half = 16.0 * complex(np.sum(w_za[::2, ::2] * rows[1, ::2, ::2]))
-        resid = abs(full - half)
-        if resid > max(rtol * abs(full), atol):
+            # not @ or tensordot, whose summation order follows the BLAS thread count
+            line[i:i + 4] = np.einsum("zaxe,axe->z", g, weights)
+        spec = np.fft.fft(line) / norm
+        value = complex(spec[n])
+        resid = float(np.max(np.abs(spec[-4:])))
+        if resid > max(_RTOL * abs(value), _ATOL):
             raise ConvergenceError(
                 f"coefficient extraction did not converge (residual {resid:.3e})",
                 residual=resid,
             )
-        return full * phi_norm
+        return value * phi_norm
 
     return coefficient

@@ -185,6 +185,13 @@ def _hermite_lift(f, rule: "quadrature.QuadratureRule") -> float:
         rows = len(idx[0]) * size
         block[:rows, :outer] = np.repeat(np.stack([t[i] for i in idx], axis=-1), size, axis=0)
         weight = np.repeat(np.prod([w[i] for i in idx], axis=0), size) * inner_w[:rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = weight * _lifted_values(f, block[:rows])
+        far = ~np.isfinite(terms)
+        if far.any():  # exp(r) overflowed against an underflowed weight
+            xyz, r = ks_map(block[:rows][far])
+            with np.errstate(divide="ignore"):  # fold the log of the weight into exp(r)
+                terms[far] = np.asarray(f(xyz), dtype=float) * r * np.exp(r + np.log(weight[far]))
         # not a BLAS dot, whose summation order follows the BLAS thread count
-        total += float(np.sum(weight * _lifted_values(f, block[:rows])))
+        total += float(np.sum(terms))
     return 4.0 / math.pi * total

@@ -3,8 +3,7 @@
 Everything here is a pure function of its arguments: associated Laguerre and
 Gegenbauer polynomials by three-term recurrence, complex spherical harmonics
 with the Condon-Shortley phase, spherical Bessel functions, Wigner 3j symbols
-and D-matrices, and the normalized two-variable monomials that generate the
-spherical harmonics through a null vector.
+and D-matrices.
 
 Degree ladders
 --------------
@@ -52,7 +51,6 @@ __all__ = [
     "wigner_D",
     "wigner_D_su2",
     "euler_su2",
-    "monomial_pair",
     "spherical_angles",
 ]
 
@@ -464,13 +462,3 @@ def wigner_D_su2(j, mp, m, u) -> complex:
         total += math.exp(log_coef) * a ** k * b ** q * c ** r * d ** s
     return total
 
-
-def monomial_pair(l: int, m: int, xi: complex, eta: complex) -> complex:
-    """Normalized monomial xi^(l+m) eta^(l-m) / sqrt((l+m)!(l-m)!)."""
-    if l < 0 or l != int(l) or m != int(m):
-        raise ValueError(f"(l, m) must be integers with l >= 0, got ({l}, {m})")
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-    l, m = int(l), int(m)
-    norm = math.exp(-0.5 * (_lnfact(l + m) + _lnfact(l - m)))
-    return norm * complex(xi) ** (l + m) * complex(eta) ** (l - m)

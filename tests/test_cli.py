@@ -152,6 +152,20 @@ def test_overflow_refusal_prints_only_the_usage_error():
         assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
 
 
+def test_large_l_momentum_is_a_usage_error():
+    # l! overflows for l > 170; at a scalar p, (p^2 + delta^2)^(l+2) underflows
+    # to 0 and the closed form divides by it
+    for args in (
+        ("eval", "momentum", "--n", "300", "--l", "180", "--m", "0", "--point", "1", "0", "0"),
+        ("eval", "momentum", "--n", "200", "--l", "150", "--m", "0", "--point", "0.001", "0", "0"),
+        ("table", "momentum-radial", "--n", "300", "--l", "180", "--grid", "0", "1", "3"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and not proc.stdout, args
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
+
+
 def test_table_missing_params_exit_code():
     proc = run_cli("table", "radial", "--grid", "0", "1", "10")
     assert proc.returncode == 2

@@ -303,10 +303,11 @@ def test_extraction_momentum_reproduces_psi_up_to_unit(n, l, m):
 
 
 def _reference_extraction(kind, qn, n0, point, nodes=(48, 24, 24, 24)):
-    """The coefficient and half-grid residual from one weighted copy of the grid.
+    """The coefficient and top-bin residual from one weighted copy of the grid.
 
-    The product rule written out in full: G times every circle's weight at
-    every node, summed whole and on the even-index sub-grid (times 16).
+    The product rule written out in full, with no FFT: G times every circle's
+    weight node^(-degree) / count at every node, summed for the z degree n,
+    and for each top z degree k = N-4 ... N-1 (times radius^(k-n)).
     """
     n, l, m = qn
     zc, ac, xic, etac = (
@@ -316,29 +317,31 @@ def _reference_extraction(kind, qn, n0, point, nodes=(48, 24, 24, 24)):
     g = genfunc(zc[:, None, None, None], ac[None, :, None, None], xic[None, None, :, None],
                 etac[None, None, None, :], point, 1.0 / n0)
     weighted = np.einsum(
-        "zaxe,z,a,x,e->zaxe", g, zc ** (-n) / nodes[0], ac ** (-l) / nodes[1],
+        "zaxe,a,x,e->zaxe", g, ac ** (-l) / nodes[1],
         xic ** (-(l + m)) / nodes[2], etac ** (-(l - m)) / nodes[3],
     )
-    full = complex(weighted.sum())
-    half = complex(weighted[::2, ::2, ::2, ::2].sum() * 16.0)
+    radius = hy.EXTRACTION_RADII[0]
+    value = complex(np.sum(np.einsum("zaxe,z->zaxe", weighted, zc ** (-n) / nodes[0])))
+    top = [abs(complex(np.sum(np.einsum("zaxe,z->zaxe", weighted, zc ** (-k) / nodes[0]))))
+           * radius ** (k - n) for k in range(nodes[0] - 4, nodes[0])]
     phi_norm = math.sqrt(math.factorial(l + m) * math.factorial(l - m))
-    return full * phi_norm, abs(full - half)
+    return value * phi_norm, max(top)
 
 
 def _extraction_residual(kind, qn, n0, point, **grid):
-    # with rtol = atol = 0 the guard always trips and reports its residual
+    # with a zero bound the guard trips on every point and reports its residual
     with pytest.raises(ConvergenceError) as err:
-        hy.extract_coefficient(kind, qn, n0, rtol=0.0, atol=0.0, **grid)(point)
+        hy.extract_coefficient(kind, qn, n0, **grid)(point)
     return err.value.residual
 
 
 STATES_TO_N3 = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
 
 
-def _check_against_the_weighted_grid_sum(kind, sized):
-    # the plane contraction is the full weighted sum reassociated: value and
-    # half-grid residual agree with it to rounding, relative to the largest
-    # coefficient in each state's sample
+def _check_against_the_weighted_grid_sum(kind, sized, monkeypatch):
+    # the slab contraction and the FFT are the full weighted sum reassociated:
+    # value and top-bin residual agree with it to rounding, relative to the
+    # largest coefficient in each state's sample
     for n, l, m in STATES_TO_N3:
         grid = {"nodes": hy.extraction_nodes(l)} if sized else {}
         rng = np.random.default_rng(300 + 100 * n + 10 * l + m)
@@ -347,24 +350,27 @@ def _check_against_the_weighted_grid_sum(kind, sized):
         got = np.array([coeff(pt) for pt in pts])
         want, want_resid = zip(*(_reference_extraction(kind, (n, l, m), n, pt, **grid)
                                  for pt in pts))
-        resid = [_extraction_residual(kind, (n, l, m), n, pt, **grid) for pt in pts]
+        with monkeypatch.context() as patch:
+            patch.setattr(hy, "_RTOL", 0.0)
+            patch.setattr(hy, "_ATOL", 0.0)
+            resid = [_extraction_residual(kind, (n, l, m), n, pt, **grid) for pt in pts]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale, (n, l, m)
         assert np.max(np.abs(np.subtract(resid, want_resid))) <= 1e-12 * scale, (n, l, m)
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_extraction_matches_the_weighted_grid_sum(kind):
-    _check_against_the_weighted_grid_sum(kind, sized=False)
+def test_extraction_matches_the_weighted_grid_sum(kind, monkeypatch):
+    _check_against_the_weighted_grid_sum(kind, False, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_sized_extraction_matches_the_weighted_grid_sum(kind):
-    _check_against_the_weighted_grid_sum(kind, sized=True)
+def test_sized_extraction_matches_the_weighted_grid_sum(kind, monkeypatch):
+    _check_against_the_weighted_grid_sum(kind, True, monkeypatch)
 
 
 def test_extraction_nodes_follow_the_degree_rule():
-    # k = max(4, 4l + 2): the half rule keeps k/2 > 2l nodes in xi and eta
+    # k = max(4, 4l + 2) > 2l: exact in xi and eta
     assert [hy.extraction_nodes(l) for l in range(4)] == [
         (48, 24, 4, 4), (48, 24, 6, 6), (48, 24, 10, 10), (48, 24, 14, 14)]
 
@@ -372,37 +378,31 @@ def test_extraction_nodes_follow_the_degree_rule():
 STATES_TO_N4 = [(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)]
 
 
-def _values_and_trips(kind, qn, points, nodes):
-    # each point's coefficient, and whether the default guard tripped on it
-    guarded = hy.extract_coefficient(kind, qn, qn[0], nodes=nodes)
-    unguarded = hy.extract_coefficient(kind, qn, qn[0], nodes=nodes, atol=math.inf)
-    values, trips = [], []
-    for pt in points:
-        try:
-            values.append(guarded(pt))
-            trips.append(False)
-        except ConvergenceError:
-            values.append(unguarded(pt))
-            trips.append(True)
-    return np.array(values), trips
-
-
 @pytest.mark.parametrize("kind", ["position", "momentum"])
-def test_sized_grid_agrees_with_the_full_grid(kind):
-    # both grids are exact in xi and eta; they differ only in how the alpha
-    # axis aliases (measured: 1.5e-13 position, 2.1e-14 momentum).  The guard
-    # trips on the same points, momentum (4, 3, -1) at its first point.
+def test_sized_extraction_reproduces_psi_to_n4(kind):
+    # every state with n <= 4 on the suite's grid, against the closed form
+    # (times (-1)^l on the momentum side); no point trips the guard
     spread = 2.0 if kind == "position" else 1.2  # the suite's sampling boxes
-    tripped = []
+    psi = hy.psi_position if kind == "position" else hy.psi_momentum
     for n, l, m in STATES_TO_N4:
+        qn = sf.QuantumNumbers(n, l, m)
         rng = np.random.default_rng(500 + 100 * n + 10 * l + m)
         pts = rng.uniform(-spread, spread, size=(3, 3))
-        full, full_trips = _values_and_trips(kind, (n, l, m), pts, (48, 24, 24, 24))
-        sized, sized_trips = _values_and_trips(kind, (n, l, m), pts, hy.extraction_nodes(l))
-        assert np.max(np.abs(sized - full)) <= 1e-11 * np.max(np.abs(full)), (n, l, m)
-        assert sized_trips == full_trips, (n, l, m)
-        tripped += [(n, l, m)] * sum(full_trips)
-    assert tripped == ([(4, 3, -1)] if kind == "momentum" else [])
+        coeff = hy.extract_coefficient(kind, qn, n, nodes=hy.extraction_nodes(l))
+        got = np.array([coeff(pt) for pt in pts]) / hy.extraction_scale(n, l)
+        unit = (-1.0) ** l if kind == "momentum" else 1.0
+        want = unit * np.array([psi(qn, pt) for pt in pts])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, l, m)
+
+
+def test_extraction_where_the_half_rule_tripped():
+    # the half rule raised here although the full rule matched psi
+    qn = sf.QuantumNumbers(4, 3, -1)
+    point = (-0.593, 0.138, 0.643)
+    want = -hy.psi_momentum(qn, point)
+    for nodes in (hy.extraction_nodes(3), (48, 24, 24, 24)):
+        got = hy.extract_coefficient("momentum", qn, 4, nodes=nodes)(point)
+        assert abs(got / hy.extraction_scale(4, 3) - want) <= 1e-12 * abs(want), nodes
 
 
 def test_extraction_zero_for_l_at_least_n():
@@ -413,12 +413,14 @@ def test_extraction_zero_for_l_at_least_n():
 
 
 def test_extraction_convergence_guard():
+    # 8 z nodes alias degree n + 8 into the value; the top bins say so
     point = (0.5, 0.2, 0.1)
     with pytest.raises(ConvergenceError) as err:
-        coeff = hy.extract_coefficient("momentum", (3, 1, 1), 3, nodes=(6, 4, 4, 4))
+        coeff = hy.extract_coefficient("momentum", (3, 1, 1), 3, nodes=(8, 4, 4, 4))
         coeff(point)
-    _, want = _reference_extraction("momentum", (3, 1, 1), 3, point, nodes=(6, 4, 4, 4))
+    _, want = _reference_extraction("momentum", (3, 1, 1), 3, point, nodes=(8, 4, 4, 4))
     assert err.value.residual == pytest.approx(want, rel=1e-12)
+    assert err.value.residual > 1.0
 
 
 def test_extraction_argument_validation():
@@ -426,8 +428,13 @@ def test_extraction_argument_validation():
         hy.extract_coefficient("spectral", (1, 0, 0), 1)
     with pytest.raises(ValueError):
         hy.extract_coefficient("position", (1, 0, 5), 1)
-    with pytest.raises(ValueError):
-        hy.extract_coefficient("position", (1, 0, 0), 1, nodes=(47, 24, 24, 24))
+    # no z bin for n apart from the top 4, an inexact alpha, xi or eta rule
+    for qn, nodes in (((3, 1, 1), (7, 24, 24, 24)), ((3, 1, 1), (8, 2, 4, 4)),
+                      ((3, 2, 0), (48, 24, 4, 24)), ((3, 2, 0), (48, 24, 24, 4))):
+        with pytest.raises(ValueError):
+            hy.extract_coefficient("position", qn, 3, nodes=nodes)
+    # odd node counts are accepted
+    hy.extract_coefficient("position", (1, 0, 0), 1, nodes=(47, 5, 3, 3))
 
 
 # ---------------------------------------------------------------------------

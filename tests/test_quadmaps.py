@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,24 @@ def test_hermite_lift_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("npts", [100, 120])
+def test_hermite_lift_far_corner_folds_the_weight_into_the_exponent(npts):
+    # the outer and two middle nodes of a large rule: at the mesh corner
+    # exp(r) overflows while the weight product is subnormal (100 nodes) or
+    # 0 (120), which gave inf and NaN
+    t, w = np.polynomial.hermite.hermgauss(npts)
+    pick = [0, npts // 2 - 1, npts // 2, npts - 1]
+    rule = qr.QuadratureRule("hermite", t[pick], w[pick])
+    # e^-r times e^r is 1: the lift is 4/pi times the weighted sum of r
+    want = 4.0 / math.pi * sum(
+        sum(t[pick][list(i)] ** 2) * math.exp(sum(np.log(w[pick][list(i)])))
+        for i in np.ndindex(4, 4, 4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qm._hermite_lift(exp_decay, rule)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_ks_integral_error_estimate_reported():

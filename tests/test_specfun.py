@@ -529,17 +529,8 @@ def test_wigner_D_rejects_bad_projection():
 
 
 # ---------------------------------------------------------------------------
-# monomial pairs / null vector
+# null vector
 # ---------------------------------------------------------------------------
-
-def test_monomial_pair_values():
-    xi, eta = 0.3 + 0.4j, -0.1 + 0.9j
-    assert sf.monomial_pair(0, 0, xi, eta) == 1.0
-    assert sf.monomial_pair(1, 1, xi, eta) == pytest.approx(xi ** 2 / math.sqrt(2))
-    assert sf.monomial_pair(1, -1, xi, eta) == pytest.approx(eta ** 2 / math.sqrt(2))
-    with pytest.raises(ValueError):
-        sf.monomial_pair(1, 2, xi, eta)
-
 
 @given(
     xr=st.floats(-3, 3), xi=st.floats(-3, 3),
