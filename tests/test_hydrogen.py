@@ -328,9 +328,11 @@ def _reference_extraction(kind, qn, n0, point, nodes=(48, 24, 24, 24)):
     return value * phi_norm, max(top)
 
 
-def _extraction_residual(kind, qn, n0, point, **grid):
+def _extraction_residual(monkeypatch, kind, qn, n0, point, **grid):
     # with a zero bound the guard trips on every point and reports its residual
-    with pytest.raises(ConvergenceError) as err:
+    with monkeypatch.context() as patch, pytest.raises(ConvergenceError) as err:
+        patch.setattr(hy, "_RTOL", 0.0)
+        patch.setattr(hy, "_ATOL", 0.0)
         hy.extract_coefficient(kind, qn, n0, **grid)(point)
     return err.value.residual
 
@@ -350,10 +352,8 @@ def _check_against_the_weighted_grid_sum(kind, sized, monkeypatch):
         got = np.array([coeff(pt) for pt in pts])
         want, want_resid = zip(*(_reference_extraction(kind, (n, l, m), n, pt, **grid)
                                  for pt in pts))
-        with monkeypatch.context() as patch:
-            patch.setattr(hy, "_RTOL", 0.0)
-            patch.setattr(hy, "_ATOL", 0.0)
-            resid = [_extraction_residual(kind, (n, l, m), n, pt, **grid) for pt in pts]
+        resid = [_extraction_residual(monkeypatch, kind, (n, l, m), n, pt, **grid)
+                 for pt in pts]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale, (n, l, m)
         assert np.max(np.abs(np.subtract(resid, want_resid))) <= 1e-12 * scale, (n, l, m)
