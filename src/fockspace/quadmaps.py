@@ -159,6 +159,10 @@ def ks_integral(
     raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
 
+# exp(r) overflows at far mesh points, where the weight underflows (inf * 0,
+# or inf times a subnormal); those blocks recompute the non-finite terms with
+# the log of the weight folded into exp(r)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _hermite_lift(f, rule: "quadrature.QuadratureRule") -> float:
     t, w = rule.nodes, rule.weights
     npts = len(t)
@@ -185,13 +189,13 @@ def _hermite_lift(f, rule: "quadrature.QuadratureRule") -> float:
         rows = len(idx[0]) * size
         block[:rows, :outer] = np.repeat(np.stack([t[i] for i in idx], axis=-1), size, axis=0)
         weight = np.repeat(np.prod([w[i] for i in idx], axis=0), size) * inner_w[:rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = weight * _lifted_values(f, block[:rows])
-        far = ~np.isfinite(terms)
-        if far.any():  # exp(r) overflowed against an underflowed weight
-            xyz, r = ks_map(block[:rows][far])
-            with np.errstate(divide="ignore"):  # fold the log of the weight into exp(r)
-                terms[far] = np.asarray(f(xyz), dtype=float) * r * np.exp(r + np.log(weight[far]))
+        terms = weight * _lifted_values(f, block[:rows])
         # not a BLAS dot, whose summation order follows the BLAS thread count
-        total += float(np.sum(terms))
+        part = float(np.sum(terms))
+        if not math.isfinite(part):
+            far = ~np.isfinite(terms)
+            xyz, r = ks_map(block[:rows][far])
+            terms[far] = np.asarray(f(xyz), dtype=float) * r * np.exp(r + np.log(weight[far]))
+            part = float(np.sum(terms))
+        total += part
     return 4.0 / math.pi * total
