@@ -102,11 +102,8 @@ def cmd_eval(args, parser) -> int:
     point = tuple(args.point)
     psi = hydrogen.psi_position if args.kind == "position" else hydrogen.psi_momentum
     # an overflow shows as a non-finite value, refused just below
-    try:
-        with np.errstate(all="ignore"):
-            value = psi(qn, point)
-    except (OverflowError, ZeroDivisionError):  # l! or (p^2 + delta^2)^(l+2)
-        parser.error("the wavefunction is out of floating-point range at this point")
+    with np.errstate(all="ignore"):
+        value = psi(qn, point)
     if not cmath.isfinite(value):
         parser.error("the wavefunction overflows at this point")
     if args.format == "json":
@@ -182,11 +179,8 @@ def _table_rows(args, parser):
 
 def cmd_table(args, parser) -> int:
     # an overflow shows as a non-finite value, refused just below
-    try:
-        with np.errstate(all="ignore"):
-            columns, rows = _table_rows(args, parser)
-    except OverflowError:  # l! in the momentum radial factor
-        parser.error("the tabulated function is out of floating-point range on this grid")
+    with np.errstate(all="ignore"):
+        columns, rows = _table_rows(args, parser)
     if not np.all(np.isfinite(rows)):
         parser.error("the tabulated function overflows on this grid")
     if args.format == "json":

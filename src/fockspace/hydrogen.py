@@ -158,24 +158,51 @@ def radial_momentum(n: int, l: int, p):
     QuantumNumbers(n, l, 0)
     p = np.asarray(p, dtype=float)
     delta = 1.0 / n
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p2d2 = p ** 2 + delta ** 2
         x = (p ** 2 - delta ** 2) / p2d2
         pl = p ** l
-        val = (
-            1j ** l
-            * normalization(n, l)
-            * math.exp(math.lgamma(l + 1.0)) / _SQRT2PI
-            * n * (4.0 * delta) ** (l + 1)
-            / p2d2 ** (l + 2)
-            * gegenbauer(n - l - 1, l + 1.0, x)
-            * pl
-        )
-    # where p^2 or p^l overflows, |val| is below a modest constant times
-    # p^-(l+4), which underflows: the product formed inf / inf or inf * 0
+        try:
+            val = (
+                1j ** l
+                * normalization(n, l)
+                * math.exp(math.lgamma(l + 1.0)) / _SQRT2PI
+                * n * (4.0 * delta) ** (l + 1)
+                / p2d2 ** (l + 2)
+                * gegenbauer(n - l - 1, l + 1.0, x)
+                * pl
+            )
+        except (OverflowError, ZeroDivisionError):
+            # l! overflows for l > 170; at a scalar p, (p^2 + delta^2)^(l+2)
+            # can underflow to 0, and the float division raises
+            val = np.full(p.shape, np.nan, dtype=complex)
     if not _all_finite(val):
+        # where p^2 or p^l overflows, |val| is below a modest constant times
+        # p^-(l+4), which underflows: the product formed inf / inf or inf * 0
         val = np.where(np.isinf(p2d2) | np.isinf(pl), 0j, val)
+        # elsewhere a factor left the double range while the value did not
+        rest = ~np.isfinite(val) & ~np.isnan(p)
+        if np.any(rest):
+            val[rest] = _radial_momentum_logs(n, l, p[rest], x[rest])
     return val if np.ndim(val) else complex(val)
+
+
+def _radial_momentum_logs(n: int, l: int, p, x):
+    # radial_momentum at points where l!, (p^2 + delta^2)^(l+2) or p^l left
+    # the double range: the factors multiplied as a sum of logs, so that the
+    # result underflows to 0 where the true value does
+    delta = 1.0 / n
+    log_const = (
+        math.log(2.0 / n ** 2) + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
+        + math.lgamma(l + 1.0) - math.log(_SQRT2PI) + math.log(n)
+        + (l + 1) * math.log(4.0 * delta)
+    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = gegenbauer(n - l - 1, l + 1.0, x)
+        log_abs = log_const - (l + 2) * np.log(p ** 2 + delta ** 2) + np.log(np.abs(c))
+        if l:
+            log_abs += l * np.log(p)
+    return (1, 1j, -1, -1j)[l % 4] * np.sign(c) * np.exp(log_abs)
 
 
 def psi_momentum(qn: QuantumNumbers, pvec) -> complex:

@@ -1,10 +1,11 @@
 """Deterministic quadrature engines and the seeded lattice-rule integrator.
 
 Gauss-Legendre and Gauss-Hermite rules come from numpy; generalized
-Gauss-Laguerre rules are built here by Golub-Welsch, with scipy's
-tridiagonal eigensolver imported only when the first one is built.  This
-module wraps them behind a small immutable rule type, adds the product
-rules used for angular and 3-sphere integrals, the radial Hankel transform
+Gauss-Laguerre rules are built here with numpy alone: Halley iteration on
+the three-term recurrence from asymptotic starts gives the nodes, and the
+Christoffel-Darboux kernel gives the weights.  This module wraps them
+behind a small immutable rule type, adds the product rules used for
+angular and 3-sphere integrals, the radial Hankel transform
 that serves as the independent Fourier oracle, and a randomly shifted
 rank-1 lattice estimator of Gaussian averages.  The estimator takes real or
 complex integrands; it is the one ``clifford.gaussian_mc`` and the Monte
@@ -26,6 +27,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from . import specfun
+from .errors import ConvergenceError
 
 __all__ = [
     "QuadratureRule",
@@ -65,6 +67,14 @@ DEFAULT_SAMPLES = 32 * LATTICE_POINTS
 # A Gauss-Laguerre weight whose bound has a log below this rounds to 0.0:
 # the smallest subnormal double is e^-744.4, and the margin is e^56.
 LOG_ZERO_WEIGHT = math.log(np.finfo(float).smallest_subnormal) - 56.0
+# Gauss-Laguerre nodes: halvings of the bisection that places the starts
+# (within pi/2^26 in the angle theta, below 3e-4 of the angular node spacing
+# of at least pi/nu for nu < 2^24), the relative Halley step below which a
+# node has converged, and the passes after which a node still moving is an
+# error.
+_START_HALVINGS = 24
+_NODE_RTOL = 1e-9
+_HALLEY_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -111,12 +121,70 @@ def gauss_legendre(npts: int) -> QuadratureRule:
     return QuadratureRule("legendre", x, w, measure=2.0)
 
 
+def _laguerre_nodes(npts: int, a: float) -> np.ndarray:
+    """Zeros of L_npts^a in increasing order, without an eigensolver.
+
+    Starts: u = e^(-x/2) x^((a+1)/2) L_n^a solves u'' + R/(4x^2) u = 0 with
+    R = -x^2 + nu x - a^2 and nu = 4n + 2a + 2.  Its Liouville-Green phase
+    with Langer's term (DLMF 18.16) rises from 0 at the turning point x- to
+    (n + 1/2) pi at x+, x-+ = (nu -+ D)/2 with D = sqrt(nu^2 - 4a^2), and
+    zero m sits near phase (m - 1/4) pi.  In the angle theta of
+    x = x- + D sin^2(theta) the phase is
+        D/4 sin(2 theta) + nu/2 theta - a/2 (asin((nu - 2a^2/x)/D) + pi/2),
+    and each start is found by bisection in theta.  Polish: Halley steps
+    (Glaser, Liu & Rokhlin 2007), with L/L' from the ratio s_n of the monic
+    polynomials, x L_n' = n L_n - (n+a) L_(n-1), and L''/L' from the
+    Laguerre equation.  The ratio runs as d_k = s_k + (k+a), which is 0 at
+    x = 0: d_1 = x, d_(k+1) = x + k / ((k+a)/d_k - 1).  Unlike s_k, d_k never
+    adds x to a term of size k, so the smallest zeros keep their relative
+    accuracy, and a zero of s_k passes through as an infinity, not a NaN.
+    """
+    nu = 4.0 * npts + 2.0 * a + 2.0
+    width = math.sqrt(nu * nu - 4.0 * a * a)  # D = x+ - x-
+    low = 2.0 * a * a / (nu + width)  # x-, without the cancellation of nu - D
+    target = (np.arange(1, npts + 1) - 0.25) * math.pi
+    lo, hi = np.zeros(npts), np.full(npts, 0.5 * math.pi)
+    for _ in range(_START_HALVINGS):
+        theta = 0.5 * (lo + hi)
+        x = low + width * np.sin(theta) ** 2
+        phase = 0.25 * width * np.sin(2.0 * theta) + 0.5 * nu * theta - 0.5 * a * (
+            np.arcsin(np.clip((nu - 2.0 * a * a / x) / width, -1.0, 1.0)) + 0.5 * math.pi)
+        below = phase < target
+        lo = np.where(below, theta, lo)
+        hi = np.where(below, hi, theta)
+    x = low + width * np.sin(0.5 * (lo + hi)) ** 2
+    moving = np.arange(npts)
+    with np.errstate(divide="ignore", over="ignore"):
+        for sweep in range(_HALLEY_PASSES):
+            t = x[moving]
+            d = t.copy()
+            for k in range(1, npts):
+                np.divide(k + a, d, out=d)
+                np.subtract(d, 1.0, out=d)
+                np.divide(k, d, out=d)
+                np.add(d, t, out=d)
+            u = t / (npts + npts * (npts + a) / (d - (npts + a)))
+            step = u / (1.0 - u * ((t - a - 1.0) - npts * u) / (2.0 * t))
+            x[moving] = t - step
+            if sweep:
+                moving = moving[np.abs(step) > _NODE_RTOL * t]
+                if not moving.size:
+                    return x
+    raise ConvergenceError(
+        f"{moving.size} of {npts} Gauss-Laguerre nodes (a = {a}) still moved "
+        f"after {_HALLEY_PASSES} Halley passes"
+    )
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf).
 
-    Built by Golub-Welsch (symmetric tridiagonal Jacobi eigenproblem), which
-    stays finite for any node count, unlike recurrence-evaluated weights.
+    The nodes come from ``_laguerre_nodes`` (asymptotic starts, Halley
+    polish) and the weights from the Christoffel-Darboux kernel, both run on
+    forms of the three-term recurrence that keep their relative accuracy at
+    the smallest nodes, so the weights sum to Gamma(a+1) to about 1e-14 even
+    for a near -1, where the first weights carry most of the mass.
     The weight recurrence runs only over the nodes whose weight can be
     nonzero.  By the separation theorem (Szego, Orthogonal Polynomials,
     Thm 3.41.1) w_i is below the tail mass beyond x_(i-1), which for
@@ -128,12 +196,7 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(f"node count must be in [2, 4096], got {npts}")
     if a <= -1.0:
         raise ValueError(f"Laguerre exponent must exceed -1, got {a}")
-    # deferred: importing scipy would dominate the start-up of short commands
-    from scipy.linalg import eigh_tridiagonal
-    k = np.arange(npts, dtype=float)
-    diag = 2.0 * k + a + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = _laguerre_nodes(npts, a)
     mass = math.exp(math.lgamma(a + 1.0))
     # Separation theorem: w_i < mu((x_(i-1), inf)), the tail of t^a e^-t,
     # which for x > 2(a+1) is below x^a e^-x / (1 - a+/x), a+ = max(a, 0).
@@ -145,30 +208,34 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     live = min(npts, first + 1 + np.count_nonzero(log_tail >= LOG_ZERO_WEIGHT))
     x = nodes[:live]
     # weights from the Christoffel-Darboux kernel of the orthonormal
-    # polynomials: w_i = 1 / sum_k q_k(x_i)^2.  Extreme nodes grow huge
-    # kernel terms (their true weights underflow), so rescale per node and
-    # carry the log of the scale.  Each node's arithmetic involves no other
-    # node, so cutting the rest leaves every live weight's bits unchanged.
-    q_prev = np.zeros_like(x)
-    q_cur = np.full_like(x, 1.0 / math.sqrt(mass))
-    kernel = q_cur ** 2
+    # polynomials: w_i = 1 / sum_k q_k(x_i)^2, with q_k = sigma_k e_k,
+    # sigma_k = q_k(0) = sqrt((a+1)_k / (k! mass)) and e_k = L_k^a / L_k^a(0).
+    # e runs the recurrence in difference form, from e = 1, F = 0 at x = 0:
+    # F_(k+1) = k F_k / (k+a) - x e_k and e_(k+1) = e_k + F_(k+1) / (k+a+1),
+    # where F_k = (k+a)(e_k - e_(k-1)).  Extreme nodes grow huge kernel terms
+    # (their true weights underflow), so rescale per node and carry the log
+    # of the scale.  Each node's arithmetic involves no other node, so
+    # cutting the rest leaves every live weight's bits unchanged.
+    e = np.ones_like(x)
+    f = np.zeros_like(x)
+    sigma = 1.0 / math.sqrt(mass)
+    kernel = np.full_like(x, sigma * sigma)
     log_scale = np.zeros_like(x)
     scratch = np.empty_like(x)
-    for i in range(npts - 1):
-        b_cur = off[i - 1] if i > 0 else 0.0
-        # q_next = ((x - diag_i) q_cur - b_cur q_prev) / b_next, into q_prev
-        np.subtract(x, diag[i], out=scratch)
-        np.multiply(scratch, q_cur, out=scratch)
-        np.multiply(q_prev, b_cur, out=q_prev)
-        np.subtract(scratch, q_prev, out=q_prev)
-        np.divide(q_prev, off[i], out=q_prev)
-        q_prev, q_cur = q_cur, q_prev
-        kernel += np.square(q_cur, out=scratch)
-        np.abs(q_cur, out=scratch)
-        if scratch.max() > 1e100:
-            big = scratch > 1e100
-            q_cur[big] *= 1e-100
-            q_prev[big] *= 1e-100
+    for k in range(npts - 1):
+        if k:
+            f *= k / (k + a)
+        np.multiply(x, e, out=scratch)
+        f -= scratch
+        np.divide(f, k + a + 1.0, out=scratch)
+        e += scratch
+        sigma *= math.sqrt((k + a + 1.0) / (k + 1.0))
+        np.multiply(e, sigma, out=scratch)
+        kernel += np.square(scratch, out=scratch)
+        if kernel.max() > 1e200:
+            big = kernel > 1e200
+            e[big] *= 1e-100
+            f[big] *= 1e-100
             kernel[big] *= 1e-200
             log_scale[big] -= 100.0 * math.log(10.0)
     weights = np.zeros_like(nodes)

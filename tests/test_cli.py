@@ -1,6 +1,7 @@
 """Command-line contract: outputs, exit codes, determinism, report schema."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from fockspace import cli, verify
+from fockspace import cli, specfun, verify
 
 
 def run_cli(*args, env=None):
@@ -152,18 +153,23 @@ def test_overflow_refusal_prints_only_the_usage_error():
         assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
 
 
-def test_large_l_momentum_is_a_usage_error():
-    # l! overflows for l > 170; at a scalar p, (p^2 + delta^2)^(l+2) underflows
-    # to 0 and the closed form divides by it
+def test_large_l_momentum_prints_the_value():
+    # l! overflows for l > 170, and at a scalar p (p^2 + delta^2)^(l+2)
+    # underflows to 0; the radial factor is then summed in logs
+    proc = run_cli("eval", "momentum", "--n", "200", "--l", "150", "--m", "0",
+                   "--point", "0.001", "0", "0", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    # R(p) = 2.64215789773e-30 (mpmath, 50 digits) times Y_150,0 on the equator
+    ylm = specfun.spherical_harmonic(150, 0, math.pi / 2, 0.0).real
+    assert json.loads(proc.stdout)["re"] == pytest.approx(2.64215789773e-30 * ylm, rel=1e-10)
     for args in (
         ("eval", "momentum", "--n", "300", "--l", "180", "--m", "0", "--point", "1", "0", "0"),
-        ("eval", "momentum", "--n", "200", "--l", "150", "--m", "0", "--point", "0.001", "0", "0"),
         ("table", "momentum-radial", "--n", "300", "--l", "180", "--grid", "0", "1", "3"),
     ):
         proc = run_cli(*args)
-        assert proc.returncode == 2 and not proc.stdout, args
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
+        assert proc.returncode == 0 and not proc.stderr, args
+        # the true value at p = 1, 8.8e-340, underflows to 0
+        assert proc.stdout.splitlines()[-1].split(",")[-1] == "0"
 
 
 def test_table_missing_params_exit_code():
@@ -298,7 +304,8 @@ def test_report_roundtrip_and_counts():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported when the first Laguerre rule is built, not at start-up
+    # scipy is imported when the first lattice-rule average runs, not at
+    # start-up; the quadrature rules use numpy alone
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fockspace.cli; print(sorted(m for m in sys.modules "

@@ -67,6 +67,25 @@ def test_radial_position_in_logs_where_the_product_overflows():
     assert np.allclose(hy._radial_position_logs(200, 100, x), direct, rtol=1e-11, atol=0.0)
 
 
+def test_radial_momentum_in_logs_where_a_factor_leaves_the_double_range():
+    # (200, 150): (p^2 + delta^2)^152 underflows at p = 0.001; (300, 180): l!
+    # overflows.  mpmath at 50 digits gives the real parts below, and
+    # 8.8e-340 at (300, 180, 1.0), which underflows to 0.
+    assert hy.radial_momentum(200, 150, 0.001).real == pytest.approx(2.64215789773e-30, rel=1e-10)
+    assert hy.radial_momentum(300, 180, 0.001).real == pytest.approx(-88.9394814366, rel=1e-10)
+    assert hy.radial_momentum(300, 180, 1.0) == 0.0
+    vals = hy.radial_momentum(200, 150, [0.001, 0.01])
+    assert vals[0] == hy.radial_momentum(200, 150, 0.001)
+    assert vals[1] == hy.radial_momentum(200, 150, 0.01)
+    assert vals[1].real == pytest.approx(699.76064072, rel=1e-10)
+    # where the direct product is finite, the sum of logs agrees with it
+    p = np.array([0.01, 0.03, 0.1])
+    x = (p ** 2 - 30.0 ** -2) / (p ** 2 + 30.0 ** -2)
+    direct = hy.radial_momentum(30, 20, p)
+    assert np.all(direct != 0)
+    assert np.allclose(hy._radial_momentum_logs(30, 20, p, x), direct, rtol=1e-12, atol=0.0)
+
+
 def test_radial_node_count():
     for (n, l) in [(1, 0), (3, 0), (4, 1), (5, 2)]:
         grid = np.linspace(1e-6, 60.0 * n, 4000 * n)

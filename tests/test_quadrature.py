@@ -1,6 +1,8 @@
 """Quadrature rules, the Hankel oracle, and the Monte Carlo integrator."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,44 +50,89 @@ def test_laguerre_weight_sum_is_gamma():
     assert np.sum(rule.weights) == pytest.approx(math.gamma(3.5), rel=1e-13)
 
 
-def _reference_laguerre(npts, a):
-    # Golub-Welsch with the weight recurrence over every node, as it was
+def _reference_weights(nodes, a):
+    # the weight recurrence of gauss_laguerre run over every node, as it was
     # before the weights were built only where they can be nonzero
-    from scipy.linalg import eigh_tridiagonal
-    k = np.arange(npts, dtype=float)
-    diag = 2.0 * k + a + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    npts = len(nodes)
     mass = math.exp(math.lgamma(a + 1.0))
-    q_prev = np.zeros_like(nodes)
-    q_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
-    kernel = q_cur ** 2
+    e = np.ones_like(nodes)
+    f = np.zeros_like(nodes)
+    sigma = 1.0 / math.sqrt(mass)
+    kernel = np.full_like(nodes, sigma * sigma)
     log_scale = np.zeros_like(nodes)
-    for i in range(npts - 1):
-        b_next = math.sqrt((i + 1.0) * (i + 1.0 + a))
-        b_cur = math.sqrt(i * (i + a)) if i > 0 else 0.0
-        q_prev, q_cur = q_cur, ((nodes - diag[i]) * q_cur - b_cur * q_prev) / b_next
-        kernel += q_cur ** 2
-        big = np.abs(q_cur) > 1e100
+    for k in range(npts - 1):
+        if k:
+            f = f * (k / (k + a))
+        f = f - nodes * e
+        e = e + f / (k + a + 1.0)
+        sigma *= math.sqrt((k + a + 1.0) / (k + 1.0))
+        kernel = kernel + np.square(e * sigma)
+        big = kernel > 1e200
         if np.any(big):
-            q_cur[big] *= 1e-100
-            q_prev[big] *= 1e-100
+            e[big] *= 1e-100
+            f[big] *= 1e-100
             kernel[big] *= 1e-200
             log_scale[big] -= 100.0 * math.log(10.0)
-    return nodes, np.exp(2.0 * log_scale) / kernel
+    return np.exp(2.0 * log_scale) / kernel
 
 
-@pytest.mark.parametrize("npts, a", [
+LAGUERRE_CASES = [
     *((n, a) for n in (2, 3, 10, 100, 190, 300, 639, 1151)
       for a in (-0.5, 0.0, 0.5, 2.0, 3.0, 7.0, 12.0)),
     (4096, 3.0),
     (2175, 7.0),
-])
+]
+
+
+@pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
 def test_laguerre_cut_is_bit_identical_to_the_full_recurrence(npts, a):
     rule = qr.gauss_laguerre(npts, a)
-    nodes, weights = _reference_laguerre(npts, a)
-    assert rule.nodes.tobytes() == nodes.tobytes()
-    assert rule.weights.tobytes() == weights.tobytes()
+    assert rule.weights.tobytes() == _reference_weights(rule.nodes, a).tobytes()
+
+
+@pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
+def test_laguerre_nodes_match_the_tridiagonal_eigenvalues(npts, a):
+    # the Jacobi matrix of the weight t^a e^-t (Golub-Welsch), solved by
+    # LAPACK; for few nodes, also the roots of L_n^a at 60 digits
+    from scipy.linalg import eigh_tridiagonal
+    nodes = qr.gauss_laguerre(npts, a).nodes
+    k = np.arange(npts, dtype=float)
+    eig = eigh_tridiagonal(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
+                           eigvals_only=True)
+    assert np.max(np.abs(nodes - eig)) <= 1e-13 * eig[-1]
+    if npts <= 60:
+        # L_n^a(x) = sum_j (-1)^j binom(n+a, n-j) x^j / j!
+        import mpmath
+        with mpmath.workdps(60):
+            coeffs = [(-1) ** j * mpmath.binomial(npts + a, npts - j) / mpmath.factorial(j)
+                      for j in range(npts, -1, -1)]
+            exact = sorted(mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=200,
+                                                                   extraprec=200))
+            assert max(abs((x - r) / r) for x, r in zip(nodes, exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("npts, a", [
+    (1000, -0.9), (1151, -0.9), (2175, -0.9), (3000, -0.9), (4095, -0.9), (4096, -0.9),
+    (2048, -0.5), (3000, -0.5), (4095, -0.5), (4096, -0.5),
+])
+def test_laguerre_weights_sum_to_the_measure_near_a_minus_one(npts, a):
+    # the first weights carry most of Gamma(a+1) here, so the sum shows the
+    # relative accuracy of the smallest nodes and of their weights
+    rule = qr.gauss_laguerre(npts, a)
+    assert np.sum(rule.weights) == pytest.approx(math.gamma(a + 1.0), rel=5e-14)
+
+
+def test_laguerre_rule_imports_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from fockspace import quadrature, verify\n"
+         "quadrature.gauss_laguerre(4096, 3.0)\n"
+         "assert verify.run_verify('hydrogen').failed == 0\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_laguerre_zero_weight_tail_and_moments_at_4096():
