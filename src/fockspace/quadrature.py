@@ -7,9 +7,10 @@ Christoffel-Darboux kernel gives the weights.  This module wraps them
 behind a small immutable rule type, adds the product rules used for
 angular and 3-sphere integrals, the radial Hankel transform
 that serves as the independent Fourier oracle, and a randomly shifted
-rank-1 lattice estimator of Gaussian averages.  The estimator takes real or
-complex integrands; it is the one ``clifford.gaussian_mc`` and the Monte
-Carlo route of ``quadmaps.ks_integral`` use.
+rank-1 lattice estimator of Gaussian averages, its points mapped to the
+Gaussian by a numpy inverse normal CDF (Wichura's AS241).  The estimator
+takes real or complex integrands; it is the one ``clifford.gaussian_mc``
+and the Monte Carlo route of ``quadmaps.ks_integral`` use.
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,35 @@ LOG_ZERO_WEIGHT = math.log(np.finfo(float).smallest_subnormal) - 56.0
 _START_HALVINGS = 24
 _NODE_RTOL = 1e-9
 _HALLEY_PASSES = 8
+# Wichura's AS241 (PPND16, Applied Statistics 37, 1988, 477-484): the
+# inverse normal CDF as a rational function of degree 7/7 in each of three
+# regions, relative error about 1e-16.  Coefficients lowest order first; the
+# central pair is in r = 0.180625 - q^2 with q = p - 1/2, the tail pairs in
+# s - 1.6 and s - 5 with s = sqrt(-log(min(p, 1 - p))).
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
 
 
 @dataclass(frozen=True)
@@ -196,8 +227,13 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(f"node count must be in [2, 4096], got {npts}")
     if a <= -1.0:
         raise ValueError(f"Laguerre exponent must exceed -1, got {a}")
+    try:
+        mass = math.exp(math.lgamma(a + 1.0))
+    except OverflowError:
+        raise ValueError(
+            f"the measure Gamma(a+1) leaves the double range for a = {a}"
+        ) from None
     nodes = _laguerre_nodes(npts, a)
-    mass = math.exp(math.lgamma(a + 1.0))
     # Separation theorem: w_i < mu((x_(i-1), inf)), the tail of t^a e^-t,
     # which for x > 2(a+1) is below x^a e^-x / (1 - a+/x), a+ = max(a, 0).
     # The log of that bound falls with x, so the nodes whose weight can be
@@ -311,6 +347,12 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     exponential decay: substituting r = n*t makes the integrand exactly
     t^(l+2) e^-t times a polynomial times j_l, so the rule with weight
     t^(l+2) e^-t integrates the smooth remainder.
+
+    Raises ``ValueError`` for l >= 169, where the rule's measure Gamma(l+3)
+    overflows, and ``OverflowError`` where the normalization N_nl is below
+    the smallest normal double (subnormal or 0.0, as at (n, l) = (200, 140),
+    (200, 150) or (161, 160)): the sum would come out 0 or wrong in its
+    leading digits.
     """
     from . import hydrogen  # local import; hydrogen depends on this module too
 
@@ -319,10 +361,16 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
     rule = gauss_laguerre(npts, float(l + 2))
+    norm = hydrogen.normalization(n, l)
+    if norm < sys.float_info.min:
+        raise OverflowError(
+            f"the normalization of (n, l) = ({n}, {l}) is {norm!r}, below the "
+            "smallest normal double"
+        )
     t = rule.nodes
     # R_nl(n t) = N_nl (2t)^l e^-t L_(n-l-1)^(2l+1)(2t); the e^-t and t^l go
     # into the rule's weight, leaving the polynomial part evaluated here.
-    poly = hydrogen.normalization(n, l) * 2.0 ** l * specfun.laguerre(
+    poly = norm * 2.0 ** l * specfun.laguerre(
         n - l - 1, 2 * l + 1, 2.0 * t
     )
     pt = np.multiply.outer(p, float(n) * t)
@@ -332,6 +380,45 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     return vals if np.ndim(vals) else complex(vals)
 
 
+def _rational(coeffs, r: np.ndarray) -> np.ndarray:
+    """num(r) / den(r) by Horner's rule, in place on two fresh arrays."""
+    num, den = coeffs
+    top, bot = np.full_like(r, num[-1]), np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        top *= r
+        top += a
+        bot *= r
+        bot += b
+    return np.divide(top, bot, out=top)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF by AS241, elementwise on a float array.
+
+    The central rational runs on the whole array; the tail rationals only on
+    the points with |p - 1/2| > 0.425 (15% of uniform points).  p = 0 and 1
+    map to -inf and +inf, and p outside [0, 1] or NaN to NaN, as
+    ``scipy.special.ndtri`` gives them.
+    """
+    q = p - 0.5
+    x = _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    x *= q
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt = q.reshape(-1)[tail]
+        pt = p.reshape(-1)[tail]
+        # min(p, 1 - p) from p itself: q = p - 1/2 rounds for p < 1/4
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
+            xt = _rational(_AS241_NEAR, s - 1.6)
+            far = np.flatnonzero(s > 5.0)  # p below e^-25, about 1e-11
+            if far.size:
+                xt[far] = _rational(_AS241_FAR, s[far] - 5.0)
+        xt[np.isinf(s)] = np.inf
+        x.reshape(-1)[tail] = np.copysign(xt, qt)
+    return x
+
+
 def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
     """Lattice-rule mean of ``integrand`` under the normalized e^{-|u|^2} measure.
 
@@ -339,7 +426,10 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
     component.  The points are ``ceil(samples / LATTICE_POINTS)``
     independent uniform shifts of the rank-1 Korobov lattice
     (Cranley-Patterson rotation), folded by the tent (baker's) transform and
-    mapped through the inverse normal CDF.  So ``samples`` is rounded up to
+    mapped through the inverse normal CDF, evaluated with numpy alone by
+    Wichura's AS241 rationals (``_ndtri``, to 2e-15 relative of
+    ``scipy.special.ndtri`` from p = 1e-300 to 1 - 1e-16, so no point is
+    reweighted and each shift stays unbiased).  So ``samples`` is rounded up to
     whole shifts, and since the error needs two shifts it must exceed
     LATTICE_POINTS.  Each shift is an unbiased estimate; the result is the
     mean of the shift means and the error is their standard deviation over
@@ -360,8 +450,6 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
             f"need more than {LATTICE_POINTS} samples (two shifts) for an "
             f"error estimate, got {samples}"
         )
-    # deferred: importing scipy would dominate the start-up of short commands
-    from scipy.special import ndtri
     key = min((d for d in LATTICE_GENERATORS if d >= dim), default=max(LATTICE_GENERATORS))
     gen = np.array([pow(LATTICE_GENERATORS[key], j, LATTICE_POINTS) for j in range(dim)])
     lattice = np.multiply.outer(np.arange(LATTICE_POINTS), gen) % LATTICE_POINTS
@@ -373,7 +461,10 @@ def mc_gaussian(dim: int, integrand, samples: int, seed: int = 42):
         # form 2 |y - rint(y)| that rounds only in forming y
         y = lattice + shift
         y -= np.rint(y)
-        u = ndtri(2.0 * np.abs(y)) * math.sqrt(0.5)
+        np.abs(y, out=y)
+        y *= 2.0
+        u = _ndtri(y)
+        u *= math.sqrt(0.5)
         vals = np.asarray(integrand(u))
         if vals.shape != (LATTICE_POINTS,):
             raise ValueError("integrand must map (k, dim) samples to (k,) values")

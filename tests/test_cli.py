@@ -304,8 +304,7 @@ def test_report_roundtrip_and_counts():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported when the first lattice-rule average runs, not at
-    # start-up; the quadrature rules use numpy alone
+    # the package needs numpy alone; scipy is a test-only oracle
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fockspace.cli; print(sorted(m for m in sys.modules "

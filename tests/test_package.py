@@ -1,4 +1,5 @@
-"""Package surface: every exported name exists and every demo runs on it."""
+"""Package surface: every exported name exists, every demo runs on it, and the
+runtime needs numpy alone."""
 
 import ast
 import importlib
@@ -10,7 +11,9 @@ import pytest
 
 import fockspace
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "fockspace").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", fockspace.__all__)
@@ -52,3 +55,27 @@ def test_demo_uses_only_exported_names(demo):
     private = sorted(f"{mod}.{name}" for mod, name in used
                      if name not in importlib.import_module(f"fockspace.{mod}").__all__)
     assert not private
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_source_imports_no_scipy(source):
+    # every import statement, deferred ones inside functions included
+    imported = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.append(node.module)
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_verify_all_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from fockspace import verify\n"
+         "assert verify.run_verify('all').failed == 0\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

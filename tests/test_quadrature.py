@@ -178,6 +178,16 @@ def test_rule_size_validation():
         qr.gauss_laguerre(10, -1.5)
 
 
+def test_laguerre_measure_beyond_the_double_range_is_a_value_error():
+    # Gamma(171) = 7.3e306 is a double, Gamma(172) is not
+    assert qr.gauss_laguerre(10, 170.0).measure == pytest.approx(math.gamma(171.0), rel=1e-13)
+    with pytest.raises(ValueError, match="Gamma"):
+        qr.gauss_laguerre(10, 171.0)
+    # the Hankel oracle's rule has a = l + 2
+    with pytest.raises(ValueError, match="Gamma"):
+        qr.radial_hankel(170, 169, 0.01)
+
+
 def test_product_rules_total_weight():
     ang = qr.angular_rule(16, 17)
     assert ang.total_weight == pytest.approx(4 * math.pi, rel=1e-13)
@@ -211,6 +221,25 @@ def test_hankel_matches_momentum_closed_form_modulus():
     assert np.max(np.abs(got - want) / want) < 1e-6
 
 
+@pytest.mark.parametrize("n, l", [(200, 150), (161, 160), (200, 140)])
+def test_hankel_refuses_a_normalization_below_the_normal_range(n, l):
+    # N_nl is 0.0 at the first two and 2.6e-322 at the third: the sum came
+    # out exactly 0 (the closed form at p = delta/2 is -1.12e4 for (200, 150))
+    # or 0.4% off
+    assert hydrogen.normalization(n, l) < sys.float_info.min
+    with pytest.raises(OverflowError, match=rf"\({n}, {l}\)"):
+        qr.radial_hankel(n, l, 0.5 / n)
+
+
+def test_hankel_keeps_its_bits_where_the_normalization_is_normal():
+    # N_nl = 2.8e-234 at (200, 100); (-i)^100 = 1, so the values are real
+    got = qr.radial_hankel(200, 100, np.array([0.0025, 0.005, 0.01, 0.02]), npts=4096)
+    want = np.array([float.fromhex(h) for h in (
+        "0x1.e6cddd918ef70p+12", "-0x1.1ede1af6c34c6p-35",
+        "-0x1.e6cddd918f078p+8", "0x1.1a708d89de868p+3")]) + 0j
+    assert got.tobytes() == want.tobytes()
+
+
 def test_hankel_parseval():
     # int R^2 r^2 dr = int |F(p)|^2 p^2 dp for the transform pair.  The
     # oscillatory oracle is trustworthy up to p*n ~ 12 with 1200 radial
@@ -237,6 +266,21 @@ def test_hankel_parseval():
 # ---------------------------------------------------------------------------
 # Monte Carlo: the randomly shifted lattice rule
 # ---------------------------------------------------------------------------
+
+def test_inverse_normal_matches_scipy_to_full_precision():
+    from scipy.special import ndtri
+    rng = np.random.default_rng(20260)
+    p = np.concatenate([rng.random(100_000), np.logspace(-300, -1, 600),
+                        1.0 - np.logspace(-16, -1, 300)])
+    want = ndtri(p)
+    got = qr._ndtri(p)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+    # a block of the shape mc_gaussian maps, holding points of all three regions
+    block = p[-8 * 8191:].reshape(8191, 8)
+    assert qr._ndtri(block).tobytes() == got[-8 * 8191:].tobytes()
+    assert qr._ndtri(np.array([0.0, 0.5, 1.0])).tolist() == [-math.inf, 0.0, math.inf]
+
 
 N = qr.LATTICE_POINTS
 # P_2 of each generator at its own dimension, as found by the generator search
