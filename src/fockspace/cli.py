@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -26,16 +27,24 @@ def _fnum(x: float) -> str:
     return _FMT.format(float(x))
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _open_out(path: str | None, parser):
+    """The --out file opened for writing, or stdout without --out.
+
+    A path that cannot be opened is a usage error (exit 2), not a traceback
+    that reads as a verification failure.
+    """
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write --out {path!r}: {exc.strerror}")
+
+
+def _emit(text: str, out):
+    out.write(text)
+    if not text.endswith("\n"):
+        out.write("\n")
 
 
 def _finite(text: str) -> float:
@@ -46,6 +55,17 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy's generators take integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
 
 
@@ -86,9 +106,9 @@ def _parse_tols(pairs, parser) -> dict:
         parser.error(str(exc))
 
 
-def _quantum_numbers(args, parser) -> specfun.QuantumNumbers:
+def _quantum_numbers(parser, n, l, m=0) -> specfun.QuantumNumbers:
     try:
-        return specfun.QuantumNumbers(args.n, args.l, args.m)
+        return specfun.QuantumNumbers(n, l, m)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -98,7 +118,7 @@ def _quantum_numbers(args, parser) -> specfun.QuantumNumbers:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args, parser) -> int:
-    qn = _quantum_numbers(args, parser)
+    qn = _quantum_numbers(parser, args.n, args.l, args.m)
     point = tuple(args.point)
     psi = hydrogen.psi_position if args.kind == "position" else hydrogen.psi_momentum
     # an overflow shows as a non-finite value, refused just below
@@ -114,7 +134,7 @@ def cmd_eval(args, parser) -> int:
             "re": value.real, "im": value.imag, "abs": abs(value),
             "units": "atomic",
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         header = "n,l,m,px_or_x,py_or_y,pz_or_z,re,im,abs"
         row = ",".join(
@@ -122,7 +142,9 @@ def cmd_eval(args, parser) -> int:
             + [_fnum(c) for c in point]
             + [_fnum(value.real), _fnum(value.imag), _fnum(abs(value))]
         )
-        _emit(header + "\n" + row, args.out)
+        text = header + "\n" + row
+    with _open_out(args.out, parser) as out:
+        _emit(text, out)
     return 0
 
 
@@ -130,7 +152,7 @@ def _table_rows(args, parser):
     if args.kind == "radial":
         if args.n is None or args.l is None:
             parser.error("table radial needs --n and --l")
-        specfun.QuantumNumbers(args.n, args.l, 0)
+        _quantum_numbers(parser, args.n, args.l)
         grid = _parse_grid(args.grid, parser)
         if grid[0] < 0:
             parser.error("radial grid must be nonnegative")
@@ -139,7 +161,7 @@ def _table_rows(args, parser):
     if args.kind == "momentum-radial":
         if args.n is None or args.l is None:
             parser.error("table momentum-radial needs --n and --l")
-        specfun.QuantumNumbers(args.n, args.l, 0)
+        _quantum_numbers(parser, args.n, args.l)
         grid = _parse_grid(args.grid, parser)
         if grid[0] < 0:
             parser.error("momentum grid must be nonnegative")
@@ -187,10 +209,12 @@ def cmd_table(args, parser) -> int:
         payload = {"kind": args.kind, "columns": columns,
                    "rows": [[float(v) for v in row] for row in rows],
                    "units": "atomic"}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         lines = [",".join(columns)] + [",".join(map(_fnum, row)) for row in rows]
-        _emit("\n".join(lines), args.out)
+        text = "\n".join(lines)
+    with _open_out(args.out, parser) as out:
+        _emit(text, out)
     return 0
 
 
@@ -210,8 +234,9 @@ def _report_text(report: verify.VerificationReport, fmt: str) -> str:
 
 def cmd_verify(args, parser) -> int:
     tols = _parse_tols(args.tol, parser)
-    report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
-    _emit(_report_text(report, args.format), args.out)
+    with _open_out(args.out, parser) as out:  # before the run, which may take seconds
+        report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
+        _emit(_report_text(report, args.format), out)
     print(
         f"{report.suite}: {report.passed} passed, {report.failed} failed "
         f"(seed {report.seed})",
@@ -261,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table)
 
     def add_verify_opts(p):
-        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=verify.DEFAULT_SEED)
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
         p.add_argument("--nodes", type=_node_count, default=None,

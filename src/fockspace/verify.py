@@ -15,8 +15,8 @@ tolerance or picks a discrepancy-registry entry itself.  Who owns what:
 * ``_suite`` makes a suite body public as ``suite(seed, tols, nodes) ->
   (cases, discrepancies)``.  An exception raised in the body is recorded as
   one failed ``suite_error[<suite>]`` case after the cases recorded before
-  it, so one fault does not abort a run; bad tolerance overrides still raise
-  before the body starts.
+  it, so one fault does not abort a run; a negative seed and bad tolerance
+  overrides still raise before the body starts.
 * ``run_verify`` runs one suite, all four (in a thread pool, cases kept in
   ``SUITES`` order), or ``clifford-det`` (the clifford suite's determinant
   sweep alone), times the run and assembles the VerificationReport.
@@ -376,10 +376,14 @@ def _suite(name: str):
     The suite is ``(seed, tols, nodes) -> (cases, discrepancies)``; its body
     writes into a fresh _Recorder.  An exception from the body becomes one
     failed case that names the suite, the exception type and its message.
+    A negative seed, which numpy's generators refuse, raises ValueError
+    before the body starts.
     """
     def decorate(body):
         def suite(seed: int = DEFAULT_SEED, tols: dict | None = None,
                   nodes: int | None = None) -> tuple:
+            if seed < 0:
+                raise ValueError(f"seed must be an integer >= 0, got {seed}")
             rec = _Recorder(tols)
             try:
                 body(rec, seed, nodes)
@@ -921,7 +925,11 @@ SUITES = {
 def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
                nodes: int | None = None) -> VerificationReport:
     """Run one named suite, "all" of them, or "clifford-det" (the clifford
-    suite's determinant sweep alone), and assemble the report."""
+    suite's determinant sweep alone), and assemble the report.
+
+    Raises ValueError for an unknown suite, a negative seed or a bad
+    tolerance override, before any suite body runs.
+    """
     if suite == "all":
         runs = list(SUITES.values())
     elif suite in SUITES:

@@ -56,10 +56,17 @@ def test_eval_json_format():
     assert abs(complex(payload["re"], payload["im"])) == pytest.approx(payload["abs"])
 
 
-def test_eval_rejects_invalid_quantum_numbers():
-    proc = run_cli("eval", "position", "--n", "1", "--l", "1", "--m", "0",
-                   "--point", "0", "0", "0")
-    assert proc.returncode == 2
+@pytest.mark.parametrize("args", [
+    ("eval", "position", "--n", "1", "--l", "1", "--m", "0", "--point", "0", "0", "0"),
+    ("table", "radial", "--n", "1", "--l", "3", "--grid", "0", "1", "3"),
+    ("table", "radial", "--n", "0", "--l", "0", "--grid", "0", "1", "3"),
+    ("table", "momentum-radial", "--n", "2", "--l", "5", "--grid", "0", "1", "3"),
+], ids=["eval", "table-radial-l", "table-radial-n", "table-momentum-radial"])
+def test_eval_rejects_invalid_quantum_numbers(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
 
 
 def test_eval_output_bytes_deterministic():
@@ -224,6 +231,34 @@ def test_verify_tol_value_not_finite_or_negative_exits_2(value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "finite and >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [("verify", "maps", "--seed", "-1"),
+                                     ("clifford-det", "--seed", "-5")])
+def test_negative_seed_exits_2(command):
+    proc = run_cli(*command)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_huge_seed_runs():
+    proc = run_cli("clifford-det", "--seed", str(10 ** 23))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["seed"] == 10 ** 23
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "position", "--n", "1", "--l", "0", "--m", "0", "--point", "0", "0", "0"),
+    ("verify", "maps"),
+])
+def test_unwritable_out_exits_2(command, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    proc = run_cli(*command, "--out", str(target))
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"fockspace: error: cannot write --out {str(target)!r}: No such file or directory"
+    )
 
 
 def test_verify_nodes_out_of_range_exits_2():

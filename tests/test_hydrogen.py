@@ -147,12 +147,6 @@ def test_momentum_gegenbauer_argument_at_fock_equator():
     assert val == pytest.approx(expect)
 
 
-def test_momentum_norms():
-    for n in range(1, 6):
-        for l in range(n):
-            assert hy.momentum_norm(n, l) == pytest.approx(1.0, rel=1e-6)
-
-
 def test_energy_values():
     assert hy.energy(1) == -0.5
     assert hy.energy(2) == -0.125
@@ -455,20 +449,3 @@ def test_extraction_argument_validation():
     # odd node counts are accepted
     hy.extract_coefficient("position", (1, 0, 0), 1, nodes=(47, 5, 3, 3))
 
-
-# ---------------------------------------------------------------------------
-# Fourier consistency against the independent oracle
-# ---------------------------------------------------------------------------
-
-def test_fourier_consistency_modulus_and_phase():
-    for n in range(1, 5):
-        delta = 1.0 / n
-        for l in range(n):
-            p = delta * np.linspace(0.1, 4.0, 20)
-            closed = hy.radial_momentum(n, l, p)
-            oracle = qr.radial_hankel(n, l, p)
-            assert np.max(np.abs(np.abs(oracle) - np.abs(closed)) / np.abs(closed)) < 1e-6
-            ratio = oracle / closed
-            unit = complex(np.mean(ratio))
-            assert np.max(np.abs(ratio - unit)) < 1e-6
-            assert unit == pytest.approx((-1.0 + 0j) ** l, rel=1e-9)

@@ -1,4 +1,8 @@
-"""The suite runner: all suites green, case order fixed under threads, report sane."""
+"""The suite runner: all suites green, case order fixed under threads, report sane.
+
+The seed-42 runs come from the session fixtures of ``conftest.py``; the
+tests here that change the seed, a tolerance or the code run their own.
+"""
 
 import json
 import math
@@ -12,24 +16,22 @@ from fockspace.errors import ConvergenceError
 CASE_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_case_ids.txt"
 
 
-@pytest.mark.parametrize("name", ["hydrogen", "maps", "clifford", "identities"])
-def test_each_suite_passes(name):
-    report = verify.run_verify(name, seed=42)
-    failing = [c["id"] for c in report.cases if not c["passed"]]
-    assert not failing, f"failing cases: {failing[:10]}"
-    assert report.all_passed
-    assert report.suite == name
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_each_suite_passes(name, serial_suites):
+    cases, _ = serial_suites[name]
+    failing = [c["id"] for c in cases if not c["passed"]]
+    assert cases and not failing, f"failing cases: {failing[:10]}"
 
 
-def test_run_all_merges_everything():
-    report = verify.run_verify("all", seed=42)
-    assert report.all_passed
-    ids = {c["id"] for c in report.cases}
+def test_run_all_merges_everything(pooled_report):
+    assert pooled_report.all_passed
+    ids = {c["id"] for c in pooled_report.cases}
     assert any(i.startswith("det_identity") for i in ids)
     assert any(i.startswith("fourier_modulus") for i in ids)
     assert any(i.startswith("ks_integral") for i in ids)
     assert any(i.startswith("passage") for i in ids)
-    assert {d["id"] for d in report.paper_discrepancies} == set(verify.discrepancy_registry())
+    assert ({d["id"] for d in pooled_report.paper_discrepancies}
+            == set(verify.discrepancy_registry()))
 
 
 def test_unknown_suite_rejected():
@@ -47,10 +49,11 @@ def test_unknown_tolerance_key_rejected():
         verify.run_verify("maps", seed=42, tols={"ks_integral_typo": 1e-30})
 
 
-def test_thread_pool_keeps_case_order():
-    pooled = verify.run_verify("all", seed=3)
-    serial = [case for name in verify.SUITES for case in verify.SUITES[name](3, None, None)[0]]
-    assert pooled.cases == serial  # same cases in the same order regardless of threading
+def test_thread_pool_keeps_case_order(pooled_report, serial_suites):
+    # same cases and discrepancies in the same order regardless of threading
+    serial = [serial_suites[name] for name in verify.SUITES]
+    assert pooled_report.cases == [case for cases, _ in serial for case in cases]
+    assert pooled_report.paper_discrepancies == [d for _, ds in serial for d in ds]
 
 
 def test_report_json_is_stable_under_seed(tmp_path):
@@ -63,9 +66,8 @@ def test_report_json_is_stable_under_seed(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
-def test_discrepancy_registry_measured_fields_filled():
-    report = verify.run_verify("all", seed=42)
-    by_id = {d["id"]: d for d in report.paper_discrepancies}
+def test_discrepancy_registry_measured_fields_filled(pooled_report):
+    by_id = {d["id"]: d for d in pooled_report.paper_discrepancies}
     assert by_id["momentum-phase-il"]["measured"]["pattern"] == "(-1)^l"
     assert by_id["duplication-formula-power"]["measured"]["printed_residual_at_n1"] == pytest.approx(0.5)
     assert "kappa" in by_id["integral-representation-prefactor"]["measured"]
@@ -90,16 +92,34 @@ def test_nan_residual_fails_its_case(monkeypatch):
     }
 
 
-def test_all_case_ids_and_discrepancy_order():
-    report = verify.run_verify("all", seed=42)
-    assert [c["id"] for c in report.cases] == CASE_IDS.read_text().split()
-    assert [d["id"] for d in report.paper_discrepancies] == list(verify.discrepancy_registry())
+def test_all_case_ids_and_discrepancy_order(pooled_report):
+    assert [c["id"] for c in pooled_report.cases] == CASE_IDS.read_text().split()
+    assert ([d["id"] for d in pooled_report.paper_discrepancies]
+            == list(verify.discrepancy_registry()))
 
 
 @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
 def test_bad_tolerance_value_rejected(value):
     with pytest.raises(ValueError, match="finite and >= 0"):
         verify.run_verify("maps", seed=42, tols={"ks_integral": value})
+
+
+def test_negative_seed_rejected_before_any_suite_body(monkeypatch):
+    # numpy's generators refuse a negative seed; the runner must not turn
+    # that into a suite_error case after part of a suite has run
+    calls = []
+    monkeypatch.setattr(hydrogen, "psi_momentum", lambda *args: calls.append(args))
+    for run in (lambda: verify.run_verify("all", seed=-1),
+                lambda: verify.run_verify("clifford-det", seed=-5),
+                lambda: verify.suite_hydrogen(-1)):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run()
+    assert calls == []
+
+
+def test_huge_seed_runs():
+    report = verify.run_verify("maps", seed=10 ** 23)
+    assert report.all_passed and report.seed == 10 ** 23
 
 
 def _reject_constant(name):
