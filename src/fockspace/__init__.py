@@ -17,10 +17,12 @@ Subpackages:
 * ``verify``     - verification suites producing machine-readable reports.
 * ``cli``        - the ``fockspace`` command-line tool.
 
-All physical quantities are in atomic units.
+All physical quantities are in atomic units.  A submodule is imported the
+first time it is used (``fockspace.verify`` or ``from fockspace import
+verify``), so a command loads only the modules it runs.
 """
 
-from . import clifford, hydrogen, identities, quadmaps, quadrature, specfun, verify
+import importlib
 
 __all__ = [
     "clifford", "hydrogen", "identities", "quadmaps", "quadrature",
@@ -28,3 +30,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet bound; the import binds them
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

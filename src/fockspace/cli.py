@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import hydrogen, specfun, verify
+from . import hydrogen, specfun
 
 _FMT = "{:.17g}"
 
@@ -80,8 +80,13 @@ def _node_count(text: str) -> int:
     return value
 
 
-def _parse_grid(values, parser) -> np.ndarray:
+def _parse_grid(values, parser, missing: str) -> np.ndarray:
+    """The grid of a START STOP COUNT option; ``missing`` is the error without one."""
+    if values is None:
+        parser.error(missing)
     start, stop, count = values
+    if count != int(count):
+        parser.error(f"grid COUNT must be an integer, got {count!r}")
     count = int(count)
     if count < 1 or count > 1_000_000 or stop < start:
         parser.error(f"bad grid specification: start={start} stop={stop} count={count}")
@@ -91,6 +96,7 @@ def _parse_grid(values, parser) -> np.ndarray:
 
 
 def _parse_tols(pairs, parser) -> dict:
+    """The --tol KEY=VAL pairs as a dict; keys and values are checked by verify."""
     tols = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -100,10 +106,7 @@ def _parse_tols(pairs, parser) -> dict:
             tols[key] = float(val)
         except ValueError:
             parser.error(f"--tol value for {key!r} is not a number: {val!r}")
-    try:
-        return verify.validate_tolerances(tols)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return tols
 
 
 def _quantum_numbers(parser, n, l, m=0) -> specfun.QuantumNumbers:
@@ -153,7 +156,7 @@ def _table_rows(args, parser):
         if args.n is None or args.l is None:
             parser.error("table radial needs --n and --l")
         _quantum_numbers(parser, args.n, args.l)
-        grid = _parse_grid(args.grid, parser)
+        grid = _parse_grid(args.grid, parser, "table radial needs --grid")
         if grid[0] < 0:
             parser.error("radial grid must be nonnegative")
         vals = np.atleast_1d(hydrogen.radial_position(args.n, args.l, grid))
@@ -162,7 +165,7 @@ def _table_rows(args, parser):
         if args.n is None or args.l is None:
             parser.error("table momentum-radial needs --n and --l")
         _quantum_numbers(parser, args.n, args.l)
-        grid = _parse_grid(args.grid, parser)
+        grid = _parse_grid(args.grid, parser, "table momentum-radial needs --grid")
         if grid[0] < 0:
             parser.error("momentum grid must be nonnegative")
         vals = np.atleast_1d(hydrogen.radial_momentum(args.n, args.l, grid))
@@ -173,7 +176,7 @@ def _table_rows(args, parser):
     if args.kind == "gegenbauer":
         if args.a is None or args.m is None:
             parser.error("table gegenbauer needs --a and --m")
-        grid = _parse_grid(args.grid, parser)
+        grid = _parse_grid(args.grid, parser, "table gegenbauer needs --grid")
         try:
             vals = np.atleast_1d(specfun.gegenbauer(args.m, args.a, grid))
         except ValueError as exc:
@@ -185,9 +188,7 @@ def _table_rows(args, parser):
         if args.delta <= 0:
             parser.error("--delta must be positive")
         gridspec = args.grid_p if args.grid_p is not None else args.grid
-        if gridspec is None:
-            parser.error("table fock needs --grid-p (or --grid)")
-        grid = _parse_grid(gridspec, parser)
+        grid = _parse_grid(gridspec, parser, "table fock needs --grid-p (or --grid)")
         if grid[0] < 0:
             parser.error("momentum grid must be nonnegative")
         rows = []
@@ -218,7 +219,7 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
-def _report_text(report: verify.VerificationReport, fmt: str) -> str:
+def _report_text(report, fmt: str) -> str:
     if fmt == "json":
         return report.to_json()
     lines = [f"# suite={report.suite} seed={report.seed}"]
@@ -233,9 +234,15 @@ def _report_text(report: verify.VerificationReport, fmt: str) -> str:
 
 
 def cmd_verify(args, parser) -> int:
-    tols = _parse_tols(args.tol, parser)
+    from . import verify  # the suites' modules load here, never for eval or table
+
+    try:
+        tols = verify.validate_tolerances(_parse_tols(args.tol, parser))
+    except ValueError as exc:
+        parser.error(str(exc))
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     with _open_out(args.out, parser) as out:  # before the run, which may take seconds
-        report = verify.run_verify(args.suite, seed=args.seed, tols=tols, nodes=args.nodes)
+        report = verify.run_verify(args.suite, seed=seed, tols=tols, nodes=args.nodes)
         _emit(_report_text(report, args.format), out)
     print(
         f"{report.suite}: {report.passed} passed, {report.failed} failed "
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table)
 
     def add_verify_opts(p):
-        p.add_argument("--seed", type=_seed, default=verify.DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
         p.add_argument("--nodes", type=_node_count, default=None,

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import ConvergenceError, SingularityError
 from .specfun import (
     QuantumNumbers,
@@ -230,6 +229,8 @@ def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
     times the generalized Laguerre weight t^(2l+2) e^-t, so the quadrature
     is exact up to roundoff.  Equals delta_(n1,n2) for true bound states.
     """
+    from . import quadrature  # deferred: eval and table never build a rule
+
     d1, d2 = 1.0 / n1, 1.0 / n2
     s = d1 + d2
     rule = quadrature.gauss_laguerre(npts, float(2 * l + 2))
@@ -250,6 +251,8 @@ def momentum_norm(n: int, l: int, npts: int = 200) -> float:
     rational integrand onto a smooth function of chi in (0, pi); equals 1 for
     a normalized state.
     """
+    from . import quadrature  # deferred: eval and table never build a rule
+
     delta = 1.0 / n
     rule = quadrature.gauss_legendre(npts)
     chi = 0.5 * math.pi * (rule.nodes + 1.0)

@@ -109,11 +109,15 @@ def test_table_gegenbauer_even_symmetry():
 
 
 def test_table_bad_grid_exit_code():
-    proc = run_cli("table", "radial", "--n", "1", "--l", "0", "--grid", "5", "1", "10")
-    assert proc.returncode == 2
-    proc = run_cli("table", "radial", "--n", "1", "--l", "0",
-                   "--grid", "0", "1", "2000001")
-    assert proc.returncode == 2
+    for args in (
+        ("table", "radial", "--n", "1", "--l", "0", "--grid", "5", "1", "10"),
+        ("table", "radial", "--n", "1", "--l", "0", "--grid", "0", "1", "2000001"),
+        # a count that is no integer is refused, not truncated
+        ("table", "radial", "--n", "2", "--l", "1", "--grid", "0", "10", "2.5"),
+        ("fock-map", "--delta", "1", "--grid-p", "0", "1", "2.5"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, args
 
 
 def test_eval_rejects_non_finite_point():
@@ -180,8 +184,15 @@ def test_large_l_momentum_prints_the_value():
 
 
 def test_table_missing_params_exit_code():
-    proc = run_cli("table", "radial", "--grid", "0", "1", "10")
-    assert proc.returncode == 2
+    for args, missing in (
+        (("table", "radial", "--grid", "0", "1", "10"), "--n"),
+        (("table", "radial", "--n", "2", "--l", "1"), "--grid"),
+        (("table", "momentum-radial", "--n", "2", "--l", "1"), "--grid"),
+        (("table", "gegenbauer", "--a", "1.5", "--m", "3"), "--grid"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, args
+        assert f"needs {missing}" in proc.stderr, args
 
 
 def test_verify_maps_report_schema_and_exit():
@@ -321,6 +332,13 @@ def test_verify_failure_exit_code_via_impossible_tolerance():
     assert proc.returncode == 1
 
 
+def test_verify_seed_defaults_to_42(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "maps", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == verify.DEFAULT_SEED == 42
+    assert capsys.readouterr().err.endswith("(seed 42)\n")
+
+
 def test_main_entry_direct():
     # the module entry point is importable and callable without a subprocess
     assert cli.main([
@@ -339,11 +357,19 @@ def test_report_roundtrip_and_counts():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # the package needs numpy alone; scipy is a test-only oracle
+    # the package needs numpy alone; scipy is a test-only oracle.  eval and
+    # table load only the modules they run, before and after a command.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fockspace.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         "import sys, fockspace.cli\n"
+         "def loaded(pkg):\n"
+         "    return sorted(m for m in sys.modules if m.split('.')[0] == pkg)\n"
+         "print(loaded('scipy'), loaded('fockspace'))\n"
+         "fockspace.cli.main(['eval', 'momentum', '--n', '2', '--l', '1', '--m', '0',\n"
+         "                    '--point', '0.1', '0.2', '0.3', '--out', '/dev/null'])\n"
+         "print(loaded('scipy'), loaded('fockspace'))"],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    only = ("[] ['fockspace', 'fockspace.cli', 'fockspace.errors', 'fockspace.hydrogen', "
+            "'fockspace.specfun']")
+    assert proc.stdout.splitlines() == [only, only]

@@ -69,13 +69,24 @@ def test_source_imports_no_scipy(source):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
+@pytest.mark.parametrize("module", [path.stem for path in SOURCES if path.stem != "__init__"])
+def test_module_imports_on_its_own(module):
+    # submodules load on first use, so an import cycle would show here
+    subprocess.run([sys.executable, "-c", f"import fockspace.{module}"], check=True)
+
+
 def test_verify_all_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "from fockspace import verify\n"
          "assert verify.run_verify('all').failed == 0\n"
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fockspace'))"],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    scipy, package = proc.stdout.splitlines()
+    assert scipy == "[]"
+    # the verify path loads every module but the command line
+    assert package == str(sorted(["fockspace"] + [f"fockspace.{path.stem}" for path in SOURCES
+                                                  if path.stem not in ("__init__", "cli")]))

@@ -126,11 +126,15 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} is not JSON")
 
 
-def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path):
+def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path, serial_suites):
     def diverge(*args, **kwargs):
         raise ConvergenceError("Cauchy circle did not converge", residual=1.0)
 
     monkeypatch.setattr(hydrogen, "extract_coefficient", diverge)
+    # the other suites hand back their seed-42 results; only hydrogen runs
+    for name in ("maps", "clifford", "identities"):
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda seed, tols, nodes, name=name: serial_suites[name])
     out = tmp_path / "report.json"
     assert cli.main(["verify", "all", "--seed", "42", "--out", str(out)]) == 1
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
