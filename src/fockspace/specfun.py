@@ -70,6 +70,10 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
+        for label in ("n", "l", "m"):
+            value = getattr(self, label)
+            if not float(value).is_integer():
+                raise ValueError(f"quantum number {label} must be an integer, got {label}={value}")
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not 0 <= self.l <= self.n - 1:
@@ -209,6 +213,8 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     """Complex spherical harmonic Y_lm(theta, phi), Condon-Shortley phase."""
     if l < 0 or l != int(l):
         raise ValueError(f"l must be a nonnegative integer, got {l}")
+    if m != int(m):
+        raise ValueError(f"m must be an integer, got {m}")
     if abs(m) > l:
         raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
     l, m = int(l), int(m)

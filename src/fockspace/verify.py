@@ -15,11 +15,14 @@ tolerance or picks a discrepancy-registry entry itself.  Who owns what:
 * ``_suite`` makes a suite body public as ``suite(seed, tols, nodes) ->
   (cases, discrepancies)``.  An exception raised in the body is recorded as
   one failed ``suite_error[<suite>]`` case after the cases recorded before
-  it, so one fault does not abort a run; a negative seed and bad tolerance
-  overrides still raise before the body starts.
-* ``run_verify`` runs one suite, all four (in a thread pool, cases kept in
-  ``SUITES`` order), or ``clifford-det`` (the clifford suite's determinant
-  sweep alone), times the run and assembles the VerificationReport.
+  it, so one fault does not abort a run; a bad seed or node count and bad
+  tolerance overrides still raise before the body starts.
+* ``run_verify`` runs one suite, all four, or ``clifford-det`` (the clifford
+  suite's determinant sweep alone), times the run and assembles the
+  VerificationReport.  All four run in a pool of forked worker processes,
+  cases kept in ``SUITES`` order; a worker that dies, or whose result cannot
+  come back, fails each suite it took down with one ``suite_error[<suite>]``
+  case.  Without ``fork``, or with one CPU, the suites run one after another.
 * Suites reduce many residuals to one with ``_worst``, which keeps NaN, so a
   NaN residual can never pass.
 
@@ -34,10 +37,12 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import numbers
 import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,20 +375,29 @@ class _Recorder:
                 for key, entry in discrepancy_registry().items() if key in self.measured]
 
 
+def _check_seed_and_nodes(seed, nodes):
+    """Raise ValueError unless ``seed`` is an integer >= 0 (numpy's generators
+    refuse a negative one) and ``nodes`` is None or an integer in [2, 4096],
+    the range every quadrature rule accepts."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if nodes is not None and not (isinstance(nodes, numbers.Integral) and 2 <= nodes <= 4096):
+        raise ValueError(f"nodes must be None or an integer in [2, 4096], got {nodes!r}")
+
+
 def _suite(name: str):
     """Decorator: ``body(rec, seed, nodes)`` becomes the suite called ``name``.
 
     The suite is ``(seed, tols, nodes) -> (cases, discrepancies)``; its body
     writes into a fresh _Recorder.  An exception from the body becomes one
     failed case that names the suite, the exception type and its message.
-    A negative seed, which numpy's generators refuse, raises ValueError
-    before the body starts.
+    A bad seed or node count (see ``_check_seed_and_nodes``) raises
+    ValueError before the body starts.
     """
     def decorate(body):
         def suite(seed: int = DEFAULT_SEED, tols: dict | None = None,
                   nodes: int | None = None) -> tuple:
-            if seed < 0:
-                raise ValueError(f"seed must be an integer >= 0, got {seed}")
+            _check_seed_and_nodes(seed, nodes)
             rec = _Recorder(tols)
             try:
                 body(rec, seed, nodes)
@@ -927,27 +941,27 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
     """Run one named suite, "all" of them, or "clifford-det" (the clifford
     suite's determinant sweep alone), and assemble the report.
 
-    Raises ValueError for an unknown suite, a negative seed or a bad
-    tolerance override, before any suite body runs.
+    Raises ValueError for an unknown suite, a bad seed or node count or a bad
+    tolerance override, before any suite body or worker process starts.
     """
     if suite == "all":
-        runs = list(SUITES.values())
+        runs = dict(SUITES)
     elif suite in SUITES:
-        runs = [SUITES[suite]]
+        runs = {suite: SUITES[suite]}
     elif suite == "clifford-det":
-        runs = [_clifford_det]
+        runs = {suite: _clifford_det}
     else:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}, 'all' or 'clifford-det'"
         )
+    _check_seed_and_nodes(seed, nodes)
+    validate_tolerances(tols)
     t0 = time.perf_counter()
     workers = min(len(runs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, seed, tols, nodes) for run in runs]
-            results = [f.result() for f in futures]
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        results = _forked(list(runs), workers, seed, tols, nodes)
     else:
-        results = [run(seed, tols, nodes) for run in runs]
+        results = [run(seed, tols, nodes) for run in runs.values()]
     cases = []
     discrepancies = []
     for cs, ds in results:
@@ -955,3 +969,32 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
         discrepancies.extend(ds)
     elapsed = int(round(1000.0 * (time.perf_counter() - t0)))
     return VerificationReport(suite, cases, seed, elapsed, discrepancies)
+
+
+def _forked(names: list, workers: int, seed, tols, nodes) -> list:
+    """Each named suite's (cases, discrepancies), in ``names`` order, from a
+    pool of ``workers`` forked processes.
+
+    The suites are mostly Python-level numpy calls that hold the GIL, so
+    threads would not run them side by side.  Each worker calls the
+    ``SUITES`` entry it inherited through ``fork``, so no callable is pickled
+    and a patched entry runs as patched.  A suite whose worker died, or whose
+    result could not be sent back, becomes one failed ``suite_error`` case.
+    """
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(_run_suite, name, seed, tols, nodes) for name in names]
+        results = []
+        for name, future in zip(names, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:  # BrokenProcessPool, or a result that would not pickle
+                rec = _Recorder(tols)
+                rec.error(name, exc)
+                results.append((rec.cases, []))
+    return results
+
+
+def _run_suite(name: str, seed, tols, nodes) -> tuple:
+    """A worker's task: the suite ``SUITES[name]`` of this process."""
+    return SUITES[name](seed, tols, nodes)

@@ -1,6 +1,6 @@
 """Seed-42 verification results shared by every test of one session.
 
-``verify all`` at seed 42 runs once in its thread pool (``pooled_report``)
+``verify all`` at seed 42 runs once in its worker pool (``pooled_report``)
 and each suite runs once on its own (``serial_suites``).  Every in-process
 assertion on a seed-42 suite case reads one of these.  They are read-only:
 a test that pops or mutates anything copies it first.

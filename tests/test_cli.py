@@ -12,9 +12,9 @@ import pytest
 from fockspace import cli, specfun, verify
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "fockspace.cli", *args],
+        [sys.executable, *flags, "-m", "fockspace.cli", *args],
         capture_output=True, text=True, env=env,
     )
     return proc
@@ -289,13 +289,15 @@ def test_verify_deterministic_modulo_elapsed():
 
 def test_verify_report_does_not_depend_on_blas_thread_count():
     # byte for byte, elapsed_ms aside: no reduction's summation order may
-    # follow the number of BLAS threads
+    # follow the number of BLAS threads.  The second run is in dev mode, where
+    # an unclosed pipe of the worker pool or a fork warning would show.
     outputs = []
-    for threads in ("1", "2"):
+    for threads, flags in (("1", ()), ("2", ("-X", "dev"))):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = run_cli("verify", "all", "--seed", "42", "--format", "json", env=env)
+        proc = run_cli("verify", "all", "--seed", "42", "--format", "json", env=env, flags=flags)
         assert proc.returncode == 0
         outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
+    assert re.fullmatch(r"all: \d+ passed, 0 failed \(seed 42\)\n", proc.stderr), proc.stderr
     assert outputs[0] == outputs[1]
 
 

@@ -36,6 +36,9 @@ def test_radial_orthogonality():
 def test_radial_rejects_negative_radius():
     with pytest.raises(ValueError):
         hy.radial_position(1, 0, -0.1)
+    # a non-integral n is refused up front, not normalized as if it were a state
+    with pytest.raises(ValueError, match="quantum number n must be an integer"):
+        hy.normalization(2.5, 1)
 
 
 def test_radial_functions_underflow_to_zero_far_out():

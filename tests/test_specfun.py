@@ -206,6 +206,11 @@ def test_sph_harm_orthonormal_gram():
 def test_sph_harm_rejects_bad_m():
     with pytest.raises(ValueError):
         sf.spherical_harmonic(1, 2, 0.3, 0.4)
+    # a half-integer m used to be truncated to the m = 0 harmonic
+    with pytest.raises(ValueError, match="m must be an integer"):
+        sf.spherical_harmonic(1, 0.5, 0.3, 0.4)
+    assert sf.spherical_harmonic(np.int64(1), np.int64(-1), 0.3, 0.4) == (
+        sf.spherical_harmonic(1, -1, 0.3, 0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +559,8 @@ def test_quantum_numbers_validation():
         sf.QuantumNumbers(2, 2, 0)
     with pytest.raises(ValueError):
         sf.QuantumNumbers(2, 1, 2)
+    for label, qn in (("n", (2.5, 1, 0)), ("l", (3, 1.5, 0)), ("m", (2, 1, 0.5)),
+                      ("n", (math.nan, 0, 0))):
+        with pytest.raises(ValueError, match=f"quantum number {label} must be an integer"):
+            sf.QuantumNumbers(*qn)
+    sf.QuantumNumbers(np.int64(3), np.int32(2), np.int8(-2))

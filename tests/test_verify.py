@@ -1,4 +1,4 @@
-"""The suite runner: all suites green, case order fixed under threads, report sane.
+"""The suite runner: all suites green, case order fixed in the worker pool, report sane.
 
 The seed-42 runs come from the session fixtures of ``conftest.py``; the
 tests here that change the seed, a tolerance or the code run their own.
@@ -6,6 +6,8 @@ tests here that change the seed, a tolerance or the code run their own.
 
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,9 @@ from fockspace import cli, clifford, hydrogen, identities, verify
 from fockspace.errors import ConvergenceError
 
 CASE_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_case_ids.txt"
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker pool needs fork")
 
 
 @pytest.mark.parametrize("name", list(verify.SUITES))
@@ -49,8 +54,8 @@ def test_unknown_tolerance_key_rejected():
         verify.run_verify("maps", seed=42, tols={"ks_integral_typo": 1e-30})
 
 
-def test_thread_pool_keeps_case_order(pooled_report, serial_suites):
-    # same cases and discrepancies in the same order regardless of threading
+def test_worker_pool_keeps_case_order(pooled_report, serial_suites):
+    # same cases and discrepancies in the same order, pooled or serial
     serial = [serial_suites[name] for name in verify.SUITES]
     assert pooled_report.cases == [case for cases, _ in serial for case in cases]
     assert pooled_report.paper_discrepancies == [d for _, ds in serial for d in ds]
@@ -105,15 +110,25 @@ def test_bad_tolerance_value_rejected(value):
 
 
 def test_negative_seed_rejected_before_any_suite_body(monkeypatch):
-    # numpy's generators refuse a negative seed; the runner must not turn
-    # that into a suite_error case after part of a suite has run
+    # numpy's generators refuse a negative seed, and the quadrature rules a
+    # node count outside [2, 4096]; the runner must not turn either into a
+    # suite_error case after part of a suite has run, nor start a worker
     calls = []
     monkeypatch.setattr(hydrogen, "psi_momentum", lambda *args: calls.append(args))
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
     for run in (lambda: verify.run_verify("all", seed=-1),
                 lambda: verify.run_verify("clifford-det", seed=-5),
+                lambda: verify.run_verify("all", seed=1.5),
+                lambda: verify.run_verify("all", seed="7"),
                 lambda: verify.suite_hydrogen(-1)):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             run()
+    for nodes in (1, 5000, 2.5):
+        for run in (lambda: verify.run_verify("all", nodes=nodes),
+                    lambda: verify.run_verify("hydrogen", nodes=nodes),
+                    lambda: verify.suite_hydrogen(42, None, nodes)):
+            with pytest.raises(ValueError, match=r"nodes must be None or an integer in \[2, 4096\]"):
+                run()
     assert calls == []
 
 
@@ -153,6 +168,43 @@ def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path, serial_sui
     # strict JSON: the NaN sides and residual are written as null
     assert error["residual"] is None and error["lhs"][0] is None
     assert report["failed"] == 1
+
+
+def _pool_of_two(monkeypatch, serial_suites, *names):
+    # the named suites hand back their seed-42 results; a pool even on one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in names:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda seed, tols, nodes, name=name: serial_suites[name])
+
+
+@needs_fork
+def test_dead_worker_becomes_a_failed_case(monkeypatch, capfd, tmp_path, serial_suites):
+    _pool_of_two(monkeypatch, serial_suites, "hydrogen", "clifford", "identities")
+    monkeypatch.setitem(verify.SUITES, "maps", lambda seed, tols, nodes: os._exit(3))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "all", "--seed", "42", "--out", str(out)]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    assert multiprocessing.active_children() == []
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    # maps died with its worker; a suite pending in the broken pool fails the
+    # same way, and every other suite is whole
+    errors = {c["params"]["suite"]: c for c in report["cases"]
+              if c["id"].startswith("suite_error[")}
+    assert "maps" in errors and report["failed"] == len(errors)
+    for error in errors.values():
+        assert error["passed"] is False and error["params"]["error"] == "BrokenProcessPool"
+    expected = [[errors[name]] if name in errors else serial_suites[name][0]
+                for name in verify.SUITES]
+    assert [c["id"] for c in report["cases"]] == [c["id"] for cs in expected for c in cs]
+
+
+@needs_fork
+def test_no_worker_outlives_the_run(monkeypatch, serial_suites):
+    _pool_of_two(monkeypatch, serial_suites, *verify.SUITES)
+    report = verify.run_verify("all", seed=42)
+    assert multiprocessing.active_children() == []
+    assert report.cases == [case for cases, _ in serial_suites.values() for case in cases]
 
 
 def test_gamma_anticommutator_residual_is_measured(monkeypatch):
