@@ -34,7 +34,7 @@ print()
 
 print("Determinant identity, 200 random draws per level:")
 for n in range(1, 6):
-    npar = 3 if n == 1 else 2 * n
+    npar = len(clifford.gammas(n))
     worst = 0.0
     for _ in range(200):
         x = rng.normal(size=npar)

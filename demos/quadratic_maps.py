@@ -17,8 +17,8 @@ rng = np.random.default_rng(1)
 
 print("Norm-squaring identities on random points:")
 u2 = rng.normal(size=(1000, 2))
-xp, yp, rp = quadmaps.levi_civita(u2)
-print(f"  2 -> 2: max |x'^2+y'^2 - r'^2| / r'^2 = {np.max(np.abs(xp**2 + yp**2 - rp**2) / rp**2):.2e}")
+xy, rp = quadmaps.levi_civita(u2)
+print(f"  2 -> 2: max |x'^2+y'^2 - r'^2| / r'^2 = {np.max(np.abs(np.sum(xy**2, -1) - rp**2) / rp**2):.2e}")
 u4 = rng.normal(size=(1000, 4))
 xyz, r = quadmaps.ks_map(u4)
 print(f"  4 -> 3: max ||x|^2 - r^2| / r^2      = {np.max(np.abs(np.sum(xyz**2, -1) - r**2) / r**2):.2e}")

@@ -71,12 +71,15 @@ def _seed(text: str) -> int:
 
 def _node_count(text: str) -> int:
     """argparse type for --nodes: the range every quadrature rule accepts."""
+    from .quadrature import MAX_NODES, MIN_NODES  # only verify commands take --nodes
+
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if not 2 <= value <= 4096:
-        raise argparse.ArgumentTypeError(f"expected an integer in [2, 4096], got {text!r}")
+    if not MIN_NODES <= value <= MAX_NODES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [{MIN_NODES}, {MAX_NODES}], got {text!r}")
     return value
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "matrix_size",
     "build_A",
     "gammas",
+    "relation_residual",
     "det_identity",
     "bargmann_closed",
     "gaussian_mc",
@@ -75,8 +76,14 @@ def _check_level(n: int):
         raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {n}")
 
 
-def _param_count(n: int) -> int:
-    return 3 if n == 1 else 2 * n
+# the three 2x2 matrices of level 1, the last one the identity
+_LEVEL1_GAMMAS = (
+    np.array([[0.0, 1j], [1j, 0.0]]),
+    np.array([[1j, 0.0], [0.0, -1j]]),
+    np.eye(2, dtype=complex),
+)
+for _g in _LEVEL1_GAMMAS:  # shared by every caller of gammas(1)
+    _g.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -99,20 +106,24 @@ def _block_gammas(n: int) -> tuple:
             np.block([[1j * eye, zero], [zero, -1j * eye]]),
             np.eye(2 * s, dtype=complex),
         )
-    _verify_relations(mats)
+    if relation_residual(mats) != 0.0:
+        raise AssertionError(f"the level-{n} Gammas miss their relations")
     return mats
 
 
-def _verify_relations(mats: tuple):
-    size = mats[0].shape[0]
-    eye = np.eye(size, dtype=complex)
-    for i, gi in enumerate(mats[:-1]):
-        if not np.array_equal(gi @ gi, -eye):
-            raise AssertionError(f"Gamma_{i + 1}^2 != -I")
-        for j in range(i + 1, len(mats) - 1):
-            gj = mats[j]
-            if not np.array_equal(gi @ gj + gj @ gi, np.zeros_like(eye)):
-                raise AssertionError(f"Gamma_{i + 1} and Gamma_{j + 1} do not anticommute")
+def _gammas(n: int) -> tuple:
+    return _LEVEL1_GAMMAS if n == 1 else _block_gammas(n)
+
+
+def relation_residual(mats) -> float:
+    """Largest |entry| of Gamma_i^2 + I and of {Gamma_i, Gamma_j}, i < j, over all
+    matrices but the last (the identity): 0.0 where the relations hold exactly,
+    NaN where an entry is NaN."""
+    gens = mats[:-1]
+    eye = np.eye(mats[0].shape[0])
+    parts = [g @ g + eye for g in gens]
+    parts += [gi @ gj + gj @ gi for i, gi in enumerate(gens) for gj in gens[i + 1:]]
+    return float(np.max(np.abs(parts)))
 
 
 def gammas(n: int) -> tuple:
@@ -122,33 +133,27 @@ def gammas(n: int) -> tuple:
     matrices of side 2^(n-1).
     """
     _check_level(n)
-    if n == 1:
-        return (
-            np.array([[0.0, 1j], [1j, 0.0]]),
-            np.array([[1j, 0.0], [0.0, -1j]]),
-            np.eye(2, dtype=complex),
-        )
-    return _block_gammas(n)
+    return _gammas(n)
 
 
 def build_A(n: int, x) -> CliffordMatrix:
     """Assemble the level-n matrix for parameter vector x.
 
-    x has length 3 at level 1 and 2n at level n >= 2.  The result satisfies
-    A = sum x_i Gamma_i exactly (checked), hence A A^dagger = |x|^2 I.
+    x has one entry per Gamma: 3 at level 1 and 2n at level n >= 2.  Level 1
+    is sum x_i Gamma_i; higher levels come from the block recursion, checked
+    to equal that sum exactly, hence A A^dagger = |x|^2 I.
     """
     _check_level(n)
+    gam = _gammas(n)
     x = tuple(float(v) for v in x)
-    if len(x) != _param_count(n):
-        raise ValueError(f"level {n} needs {_param_count(n)} parameters, got {len(x)}")
+    if len(x) != len(gam):
+        raise ValueError(f"level {n} needs {len(gam)} parameters, got {len(x)}")
+    linear = sum(v * g for v, g in zip(x, gam))
     if n == 1:
-        x1, x2, x3 = x
-        entries = np.array([[x3 + 1j * x2, 1j * x1], [1j * x1, x3 - 1j * x2]])
-    else:
-        entries = _recursive_entries(n, x)
-        linear = sum(v * g for v, g in zip(x, _block_gammas(n)))
-        if not np.array_equal(entries, linear):
-            raise AssertionError("block recursion disagrees with sum x_i Gamma_i")
+        return CliffordMatrix(n, x, linear)
+    entries = _recursive_entries(n, x)
+    if not np.array_equal(entries, linear):
+        raise AssertionError("block recursion disagrees with sum x_i Gamma_i")
     return CliffordMatrix(n, x, entries)
 
 

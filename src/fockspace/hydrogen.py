@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,12 @@ class FockPoint:
 def normalization(n: int, l: int) -> float:
     """Radial normalization N_nl = (2/n^2) sqrt((n-l-1)!/(n+l)!)."""
     QuantumNumbers(n, l, 0)
-    return (2.0 / n ** 2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
+    return (2.0 / n ** 2) * math.exp(_log_root_ratio(n, l))
+
+
+def _log_root_ratio(n: int, l: int) -> float:
+    # log sqrt((n-l-1)!/(n+l)!), the factorial part of log N_nl
+    return 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
 
 
 def radial_position(n: int, l: int, r):
@@ -133,7 +139,7 @@ def _radial_position_logs(n: int, l: int, x):
         cur = (1.0 + a - x) / x
     for i in range(1, k):
         prev, cur = cur, ((2 * i + 1 + a - x) / x * cur - (i + a) / x / x * prev) / (i + 1)
-    log_norm = math.log(2.0 / n ** 2) + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
+    log_norm = math.log(2.0 / n ** 2) + _log_root_ratio(n, l)
     with np.errstate(divide="ignore"):
         log_abs = log_norm + (n - 1) * np.log(x) - 0.5 * x + np.log(np.abs(cur))
     return np.sign(cur) * np.exp(log_abs)
@@ -193,7 +199,7 @@ def _radial_momentum_logs(n: int, l: int, p, x):
     # result underflows to 0 where the true value does
     delta = 1.0 / n
     log_const = (
-        math.log(2.0 / n ** 2) + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
+        math.log(2.0 / n ** 2) + _log_root_ratio(n, l)
         + math.lgamma(l + 1.0) - math.log(_SQRT2PI) + math.log(n)
         + (l + 1) * math.log(4.0 * delta)
     )
@@ -217,8 +223,7 @@ def psi_momentum(qn: QuantumNumbers, pvec) -> complex:
 
 def energy(n: int) -> float:
     """Bound-state energy -1/(2 n^2) hartree."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"principal quantum number must be a positive integer, got {n}")
+    QuantumNumbers(n, 0, 0)
     return -0.5 / (n * n)
 
 
@@ -277,8 +282,10 @@ def fock_map(pvec, delta: float) -> FockPoint:
     with np.errstate(over="ignore"):
         p2 = float(pvec @ pvec)
     denom = p2 + delta * delta
-    if math.isinf(denom) and np.all(np.isfinite(pvec)) and math.isfinite(delta):
-        # p^2 + delta^2 overflowed; y is invariant under scaling (p, delta)
+    if (not sys.float_info.min <= denom < math.inf
+            and np.all(np.isfinite(pvec)) and math.isfinite(delta)):
+        # p^2 + delta^2 overflowed or is not a normal double (0 at p = 0 for
+        # delta < 1e-162); y is invariant under scaling (p, delta)
         scale = max(float(np.max(np.abs(pvec))), delta)
         return fock_map(pvec / scale, delta / scale)
     y = (

@@ -24,6 +24,7 @@ import numpy as np
 from . import quadrature
 from .errors import IntegrabilityError
 from .specfun import (
+    QuantumNumbers,
     gegenbauer,
     gegenbauer_ladder,
     spherical_angles,
@@ -264,13 +265,6 @@ def su2_of_point(v) -> np.ndarray:
     return np.array([[q + 1j * z, x + 1j * y], [-x + 1j * y, q - 1j * z]])
 
 
-def _check_hyperspherical_labels(n: int, l: int, m: int):
-    if n < 1 or l < 0 or n < l + 1:
-        raise ValueError(f"need n >= l+1 >= 1, got (n, l) = ({n}, {l})")
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-
-
 def hyperspherical_harmonic(n: int, l: int, m: int, coschi, sinchi, theta, phi,
                             radial=1.0):
     """4-D spherical harmonic Y_nlm from its angles; arrays broadcast together.
@@ -279,7 +273,7 @@ def hyperspherical_harmonic(n: int, l: int, m: int, coschi, sinchi, theta, phi,
     C_(n-l-1)^(l+1)(cos chi) Y_lm(theta, phi), orthonormal on the unit
     3-sphere when ``radial`` is 1.
     """
-    _check_hyperspherical_labels(n, l, m)
+    QuantumNumbers(n, l, m)
     norm = (
         2.0 ** (l + 1)
         * math.exp(math.lgamma(l + 1.0) + 0.5 * (
@@ -310,7 +304,7 @@ def hyperspherical_Y(n: int, l: int, m: int, v) -> complex:
     v.  Off the sphere the value is extended homogeneously with degree n-1,
     which keeps it harmonic in R^4.
     """
-    _check_hyperspherical_labels(n, l, m)
+    QuantumNumbers(n, l, m)
     v = np.asarray(v, dtype=float)
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:

@@ -31,13 +31,12 @@ __all__ = [
 
 
 def levi_civita(u):
-    """R^2 -> R^2 quadratic map: (2 u1 u2, u1^2 - u2^2) with radius u1^2+u2^2."""
+    """R^2 -> R^2 quadratic map (2 u1 u2, u1^2 - u2^2) and the squared norm
+    r = |u|^2: shape (..., 2) to (xy of shape (..., 2), r of shape (...))."""
     u = np.asarray(u, dtype=float)
     u1, u2 = u[..., 0], u[..., 1]
-    xp = 2.0 * u1 * u2
-    yp = u1 ** 2 - u2 ** 2
-    rp = u1 ** 2 + u2 ** 2
-    return xp, yp, rp
+    xy = np.stack([2.0 * u1 * u2, u1 ** 2 - u2 ** 2], axis=-1)
+    return xy, u1 ** 2 + u2 ** 2
 
 
 def ks_map(u):

@@ -46,8 +46,12 @@ __all__ = [
     "LATTICE_GENERATORS",
     "DEFAULT_SAMPLES",
     "LOG_ZERO_WEIGHT",
+    "MIN_NODES",
+    "MAX_NODES",
 ]
 
+# The node counts every rule accepts, and with them ``--nodes``.
+MIN_NODES, MAX_NODES = 2, 4096
 # Rows per block for integrands evaluated over a large point set (the lifted
 # Gauss-Hermite mesh), so that their temporaries scale with the block.
 BLOCK_ROWS = 8192
@@ -112,16 +116,12 @@ _AS241_FAR = (
 class QuadratureRule:
     """Immutable 1-D nodes/weights with the measure they integrate against.
 
-    ``kind`` is one of "legendre", "laguerre", "hermite", "chebyshev2";
-    ``alpha`` is the Laguerre superscript (weight t^alpha e^-t), unused
-    otherwise.  ``measure`` is the total weight of the domain, used as a
+    ``measure`` is the total weight of the domain, used as a
     construction-time sanity check.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    alpha: float = 0.0
     measure: float = 0.0
 
     def __post_init__(self):
@@ -143,13 +143,17 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
+def _check_nodes(npts: int):
+    if not MIN_NODES <= npts <= MAX_NODES:
+        raise ValueError(f"node count must be in [{MIN_NODES}, {MAX_NODES}], got {npts}")
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_legendre(npts: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact through degree 2*npts - 1."""
-    if not 2 <= npts <= 4096:
-        raise ValueError(f"node count must be in [2, 4096], got {npts}")
+    _check_nodes(npts)
     x, w = leggauss(npts)
-    return QuadratureRule("legendre", x, w, measure=2.0)
+    return QuadratureRule(x, w, measure=2.0)
 
 
 def _laguerre_nodes(npts: int, a: float) -> np.ndarray:
@@ -223,8 +227,7 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
     first node where the log of that bound is below LOG_ZERO_WEIGHT (about
     -800) are 0.0, as the full recurrence also gives them.
     """
-    if not 2 <= npts <= 4096:
-        raise ValueError(f"node count must be in [2, 4096], got {npts}")
+    _check_nodes(npts)
     if a <= -1.0:
         raise ValueError(f"Laguerre exponent must exceed -1, got {a}")
     try:
@@ -276,15 +279,14 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
             log_scale[big] -= 100.0 * math.log(10.0)
     weights = np.zeros_like(nodes)
     weights[:live] = np.exp(2.0 * log_scale) / kernel
-    return QuadratureRule("laguerre", nodes, weights, alpha=a, measure=mass)
+    return QuadratureRule(nodes, weights, measure=mass)
 
 
 def gauss_hermite(npts: int) -> QuadratureRule:
     """Gauss-Hermite rule for the weight e^{-t^2} on the real line."""
-    if not 2 <= npts <= 4096:
-        raise ValueError(f"node count must be in [2, 4096], got {npts}")
+    _check_nodes(npts)
     x, w = hermgauss(npts)
-    return QuadratureRule("hermite", x, w, measure=math.sqrt(math.pi))
+    return QuadratureRule(x, w, measure=math.sqrt(math.pi))
 
 
 def chebyshev_second(npts: int) -> QuadratureRule:
@@ -293,13 +295,12 @@ def chebyshev_second(npts: int) -> QuadratureRule:
     Closed-form nodes/weights; this is the natural chi-rule on the 3-sphere
     where the measure is sin^2(chi) d(chi).
     """
-    if not 2 <= npts <= 4096:
-        raise ValueError(f"node count must be in [2, 4096], got {npts}")
+    _check_nodes(npts)
     k = np.arange(1, npts + 1, dtype=float)
     ang = k * math.pi / (npts + 1)
     nodes = np.cos(ang)[::-1]
     weights = (math.pi / (npts + 1)) * np.sin(ang) ** 2
-    return QuadratureRule("chebyshev2", nodes, weights[::-1], measure=math.pi / 2.0)
+    return QuadratureRule(nodes, weights[::-1], measure=math.pi / 2.0)
 
 
 @dataclass(frozen=True)

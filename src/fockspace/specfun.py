@@ -389,6 +389,20 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     return phase * total
 
 
+def _projection_pair(j, mp, m) -> tuple:
+    """(2mp, 2m, j+mp, j-mp, j+m, log sqrt((j+mp)! (j-mp)! (j+m)! (j-m)!)) of a
+    projection pair of spin j; ValueError where (mp, m) is not one."""
+    tj = _two_j(j, "j")
+    tmp = _two_j(mp, "mp")
+    tm = _two_j(m, "m")
+    if abs(tmp) > tj or abs(tm) > tj or (tj + tmp) % 2 or (tj + tm) % 2:
+        raise ValueError(f"invalid projection pair (mp, m) = ({mp}, {m}) for j = {j}")
+    jpmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
+    jpm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    log_norm = 0.5 * (_lnfact(jpmp) + _lnfact(jmmp) + _lnfact(jpm) + _lnfact(jmm))
+    return tmp, tm, jpmp, jmmp, jpm, log_norm
+
+
 def wigner_d_small(j, mp, m, theta):
     """Small Wigner d^j_{mp,m}(theta) by Wigner's sum formula.
 
@@ -396,18 +410,10 @@ def wigner_d_small(j, mp, m, theta):
     tabulation, which is exactly what makes D^l_{0,m} coincide with
     sqrt(4pi/(2l+1)) * conj(Y_lm).
     """
-    tj = _two_j(j, "j")
-    tmp = _two_j(mp, "mp")
-    tm = _two_j(m, "m")
-    if abs(tmp) > tj or abs(tm) > tj or (tj + tmp) % 2 or (tj + tm) % 2:
-        raise ValueError(f"invalid projection pair (mp, m) = ({mp}, {m}) for j = {j}")
+    tmp, tm, _, jmmp, jpm, log_norm = _projection_pair(j, mp, m)
     theta = np.asarray(theta, dtype=float)
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-
-    jpmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
-    jpm, jmm = (tj + tm) // 2, (tj - tm) // 2
-    log_norm = 0.5 * (_lnfact(jpmp) + _lnfact(jmmp) + _lnfact(jpm) + _lnfact(jmm))
 
     kmin = max(0, (tm - tmp) // 2)
     kmax = min(jpm, jmmp)
@@ -445,18 +451,10 @@ def wigner_D_su2(j, mp, m, u) -> complex:
     matrix with determinant r it returns r^j times the unit-determinant value,
     consistently with ``wigner_D`` on Euler angles.
     """
-    tj = _two_j(j, "j")
-    tmp = _two_j(mp, "mp")
-    tm = _two_j(m, "m")
-    if abs(tmp) > tj or abs(tm) > tj or (tj + tmp) % 2 or (tj + tm) % 2:
-        raise ValueError(f"invalid projection pair (mp, m) = ({mp}, {m}) for j = {j}")
+    tmp, tm, jpmp, _, jpm, log_norm = _projection_pair(j, mp, m)
     u = np.asarray(u)
     a, b = complex(u[0, 0]), complex(u[0, 1])
     c, d = complex(u[1, 0]), complex(u[1, 1])
-
-    jpmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
-    jpm, jmm = (tj + tm) // 2, (tj - tm) // 2
-    log_norm = 0.5 * (_lnfact(jpmp) + _lnfact(jmmp) + _lnfact(jpm) + _lnfact(jmm))
     kmin = max(0, (tm + tmp) // 2)
     kmax = min(jpmp, jpm)
     total = 0.0 + 0.0j

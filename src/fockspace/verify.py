@@ -359,9 +359,10 @@ class _Recorder:
         """Set the measured values of one discrepancy-registry entry."""
         self.measured[discrepancy_id] = values
 
-    def error(self, suite: str, exc: Exception):
-        """Record ``exc``, raised inside ``suite``, as one failed case."""
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
+    def error(self, suite: str, exc: Exception, depth: int = -1):
+        """Record ``exc``, raised inside ``suite``, as one failed case whose
+        ``where`` is traceback frame ``depth`` (-1 raised it, 0 caught it)."""
+        frame = traceback.extract_tb(exc.__traceback__)[depth]
         self.case(f"suite_error[{suite}]", {
             "suite": suite,
             "error": type(exc).__name__,
@@ -377,12 +378,13 @@ class _Recorder:
 
 def _check_seed_and_nodes(seed, nodes):
     """Raise ValueError unless ``seed`` is an integer >= 0 (numpy's generators
-    refuse a negative one) and ``nodes`` is None or an integer in [2, 4096],
-    the range every quadrature rule accepts."""
+    refuse a negative one) and ``nodes`` is None or an integer in the range
+    every quadrature rule accepts."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if nodes is not None and not (isinstance(nodes, numbers.Integral) and 2 <= nodes <= 4096):
-        raise ValueError(f"nodes must be None or an integer in [2, 4096], got {nodes!r}")
+    low, high = quadrature.MIN_NODES, quadrature.MAX_NODES
+    if nodes is not None and not (isinstance(nodes, numbers.Integral) and low <= nodes <= high):
+        raise ValueError(f"nodes must be None or an integer in [{low}, {high}], got {nodes!r}")
 
 
 def _suite(name: str):
@@ -564,20 +566,13 @@ def suite_hydrogen(rec, seed, nodes):
 def suite_maps(rec, seed, nodes):
     rng = np.random.default_rng(seed)
 
-    u2 = rng.normal(size=(200, 2))
-    xp, yp, rp = quadmaps.levi_civita(u2)
-    resid = float(np.max(np.abs(xp ** 2 + yp ** 2 - rp ** 2) / rp ** 2))
-    rec.residual("levi_civita_norm[random]", {"trials": 200}, resid, "levi_civita_norm")
-
-    u4 = rng.normal(size=(200, 4))
-    xyz, r = quadmaps.ks_map(u4)
-    resid = float(np.max(np.abs(np.sum(xyz ** 2, axis=-1) - r ** 2) / r ** 2))
-    rec.residual("ks_norm[random]", {"trials": 200}, resid, "ks_norm")
-
-    u8 = rng.normal(size=(200, 8))
-    x5, r8 = quadmaps.hurwitz_map(u8)
-    resid = float(np.max(np.abs(np.sum(x5 ** 2, axis=-1) - r8 ** 2) / r8 ** 2))
-    rec.residual("hurwitz_norm[random]", {"trials": 200}, resid, "hurwitz_norm")
+    # each map squares the norm: |image| = r = |u|^2
+    for key, quad_map, dim in (("levi_civita_norm", quadmaps.levi_civita, 2),
+                               ("ks_norm", quadmaps.ks_map, 4),
+                               ("hurwitz_norm", quadmaps.hurwitz_map, 8)):
+        image, r = quad_map(rng.normal(size=(200, dim)))
+        resid = float(np.max(np.abs(np.sum(image ** 2, axis=-1) - r ** 2) / r ** 2))
+        rec.residual(f"{key}[random]", {"trials": 200}, resid, key)
 
     # Cayley-Klein round trip and fiber invariance
     worst_rt = 0.0
@@ -661,7 +656,7 @@ def _printed_level3(x) -> np.ndarray:
 def _det_sweep(rec, rng):
     """The determinant identity at 200 random points per level 1..5."""
     for n in range(1, 6):
-        npar = 3 if n == 1 else 2 * n
+        npar = len(clifford.gammas(n))
         for trial in range(200):
             x = rng.normal(size=npar)
             alpha = rng.uniform(-1.0, 1.0) * 0.5 / (1.0 + float(np.linalg.norm(x)))
@@ -680,20 +675,14 @@ def suite_clifford(rec, seed, nodes):
     anticommutator = 0.0
     for n in range(1, 7):
         gam = clifford.gammas(n)
-        eye = np.eye(gam[0].shape[0])
-        worst = 0.0
-        for i, gi in enumerate(gam[:-1]):
-            worst = _worst(worst, float(np.max(np.abs(gi @ gi + eye))))
-            for gj in gam[i + 1:-1]:
-                worst = _worst(worst, float(np.max(np.abs(gi @ gj + gj @ gi))))
+        worst = clifford.relation_residual(gam)
         rec.residual(f"gamma_relations[n={n}]", {"n": n}, worst, "gamma_relations")
         anticommutator = _worst(anticommutator, worst)
-        ident = float(np.max(np.abs(gam[-1] - eye)))
+        ident = float(np.max(np.abs(gam[-1] - np.eye(gam[0].shape[0]))))
         rec.residual(f"gamma_last_identity[n={n}]", {"n": n}, ident, "gamma_relations")
 
-        npar = 3 if n == 1 else 2 * n
-        x = rng.normal(size=npar)
-        y = rng.normal(size=npar)
+        x = rng.normal(size=len(gam))
+        y = rng.normal(size=len(gam))
         ax = clifford.build_A(n, x).entries
         ay = clifford.build_A(n, y).entries
         axy = clifford.build_A(n, x + y).entries
@@ -990,7 +979,8 @@ def _forked(names: list, workers: int, seed, tols, nodes) -> list:
                 results.append(future.result())
             except Exception as exc:  # BrokenProcessPool, or a result that would not pickle
                 rec = _Recorder(tols)
-                rec.error(name, exc)
+                # this frame: the pool's own frames move with the Python version
+                rec.error(name, exc, depth=0)
                 results.append((rec.cases, []))
     return results
 

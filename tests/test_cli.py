@@ -143,6 +143,17 @@ def test_far_points_print_the_underflowed_values():
     assert [row.split(",")[4] for row in proc.stdout.splitlines()[1:]] == ["-1", "1", "1"]
 
 
+def test_fock_table_where_p_squared_plus_delta_squared_underflows(capsys):
+    # delta^2 underflows to 0 below delta = 1e-162; p = 0 is the south pole
+    for argv in (["table", "fock", "--delta", "1e-200", "--grid-p", "0", "1", "3"],
+                 ["fock-map", "--delta", "1e-170", "--grid", "0", "1", "2"]):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()[1:]
+        assert not err and rows[0] == "0,0,0,0,-1,1"
+        assert all(row.split(",")[4:] == ["1", "1"] for row in rows[1:])
+
+
 def test_table_rejects_non_finite_values():
     # C_400^(400)(1) = binom(1199, 400) is beyond the largest double
     proc = run_cli("table", "gegenbauer", "--m", "400", "--a", "400", "--grid", "0.5", "1", "3")

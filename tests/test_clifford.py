@@ -69,6 +69,18 @@ def test_gamma_squares_and_anticommutators_exact():
         assert np.array_equal(gam[-1], eye)
 
 
+def test_relation_residual():
+    for n in range(1, 7):
+        assert cl.relation_residual(cl.gammas(n)) == 0.0
+    gam = cl.gammas(3)
+    # a scaled Gamma squares to -2.25 I: the residual is measured, not a flag
+    assert cl.relation_residual((1.5 * gam[0],) + gam[1:]) == pytest.approx(1.25, rel=1e-15)
+    # a NaN entry must never read as a pass (the builtin max would drop it)
+    poisoned = gam[1].copy()
+    poisoned[0, 0] = math.nan
+    assert math.isnan(cl.relation_residual(gam[:1] + (poisoned,) + gam[2:]))
+
+
 def test_gamma3_of_level2():
     gam = cl.gammas(2)
     assert np.array_equal(gam[2], np.array([[1j, 0], [0, -1j]]))

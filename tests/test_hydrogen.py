@@ -157,6 +157,8 @@ def test_energy_values():
         assert hy.energy(n) / hy.energy(1) == pytest.approx(1.0 / n ** 2, rel=1e-15)
     with pytest.raises(ValueError):
         hy.energy(0)
+    with pytest.raises(ValueError, match="quantum number n must be an integer"):
+        hy.energy(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,19 @@ def test_fock_map_where_p_squared_overflows():
         assert far.y[2] == pytest.approx(2.0 / 5e307, rel=1e-15)
         assert hy.fock_map((3e200, 0.0, 4e200), 5e200).y == pytest.approx((0.6, 0.0, 0.8, 0.0), abs=1e-15)
         assert hy.fock_map((0.0, 0.0, 0.0), 1e200).y == (0.0, 0.0, 0.0, -1.0)
+
+
+def test_fock_map_where_p_squared_plus_delta_squared_underflows():
+    # below the normal doubles p^2 + delta^2 loses its bits, and at p = 0,
+    # delta < 1e-162 it is 0; y is invariant under scaling (p, delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hy.fock_map((0.0, 0.0, 0.0), 1e-200).y == (0.0, 0.0, 0.0, -1.0)
+        assert hy.fock_map((0.0, 0.0, 1e-160), 1e-160).y == (0.0, 0.0, 1.0, 0.0)
+        assert hy.fock_map((3e-170, 0.0, 4e-170), 5e-170).y == pytest.approx(
+            (0.6, 0.0, 0.8, 0.0), abs=1e-15)
+        near = hy.fock_map((0.0, 0.0, 1.0), 1e-200)
+        assert near.y[3] == 1.0 and near.y[2] == pytest.approx(2e-200, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,14 @@ def test_hyperspherical_validation():
         idn.hyperspherical_Y(1, 1, 0, (0, 0, 0, 1))
     with pytest.raises(ValueError):
         idn.hyperspherical_Y(2, 1, 0, (0, 0, 0, 0))
+    # non-integral labels are refused, not evaluated as if they were a state
+    rule = qr.s3_rule(4, 4, 5)
+    for label, (n, l, m) in (("n", (2.5, 1, 0)), ("l", (3, 1.5, 0)), ("m", (2, 1, 0.5))):
+        for evaluate in (lambda: idn.hyperspherical_Y(n, l, m, (0.6, 0.0, 0.0, 0.8)),
+                         lambda: idn.hyperspherical_harmonic(n, l, m, 0.8, 0.6, 0.5, 0.5),
+                         lambda: idn.hyperspherical_on_s3(n, l, m, rule)):
+            with pytest.raises(ValueError, match=f"quantum number {label} must be an integer"):
+                evaluate()
 
 
 # ---------------------------------------------------------------------------

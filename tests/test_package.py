@@ -90,3 +90,13 @@ def test_verify_all_loads_no_scipy():
     # the verify path loads every module but the command line
     assert package == str(sorted(["fockspace"] + [f"fockspace.{path.stem}" for path in SOURCES
                                                   if path.stem not in ("__init__", "cli")]))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_node_range_is_written_once(source):
+    # quadrature.MIN_NODES and MAX_NODES are the one definition of the range
+    # every rule accepts; a second literal 4096 could drift from it
+    literals = [node for node in ast.walk(ast.parse(source.read_text()))
+                if isinstance(node, ast.Constant) and type(node.value) is int
+                and node.value == 4096]
+    assert not literals or source.name == "quadrature.py"

@@ -14,14 +14,16 @@ finite = st.floats(min_value=-10.0, max_value=10.0)
 
 
 def test_levi_civita_examples():
-    assert qm.levi_civita((1.0, 0.0)) == (0.0, 1.0, 1.0)
-    assert qm.levi_civita((1.0, 1.0)) == (2.0, 0.0, 2.0)
+    xy, r = qm.levi_civita((1.0, 0.0))
+    assert (*xy, r) == (0.0, 1.0, 1.0)
+    xy, r = qm.levi_civita((1.0, 1.0))
+    assert (*xy, r) == (2.0, 0.0, 2.0)
 
 
 @given(u1=finite, u2=finite)
 @settings(max_examples=200, deadline=None)
 def test_levi_civita_norm_identity(u1, u2):
-    xp, yp, rp = qm.levi_civita((u1, u2))
+    (xp, yp), rp = qm.levi_civita((u1, u2))
     assert abs(xp * xp + yp * yp - rp * rp) <= 1e-13 * max(rp * rp, 1e-300)
 
 
@@ -197,7 +199,7 @@ def test_hermite_lift_far_corner_folds_the_weight_into_the_exponent(npts):
     # 0 (120), which gave inf and NaN
     t, w = np.polynomial.hermite.hermgauss(npts)
     pick = [0, npts // 2 - 1, npts // 2, npts - 1]
-    rule = qr.QuadratureRule("hermite", t[pick], w[pick])
+    rule = qr.QuadratureRule(t[pick], w[pick])
     # e^-r times e^r is 1: the lift is 4/pi times the weighted sum of r
     want = 4.0 / math.pi * sum(
         sum(t[pick][list(i)] ** 2) * math.exp(sum(np.log(w[pick][list(i)])))

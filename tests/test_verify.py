@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,7 @@ def test_suite_exception_becomes_a_failed_case(monkeypatch, tmp_path, serial_sui
     assert error["params"]["suite"] == "hydrogen"
     assert error["params"]["error"] == "ConvergenceError"
     assert error["params"]["message"] == "Cauchy circle did not converge"
+    assert re.fullmatch(r"test_verify\.py:\d+ in diverge", error["params"]["where"])
     # strict JSON: the NaN sides and residual are written as null
     assert error["residual"] is None and error["lhs"][0] is None
     assert report["failed"] == 1
@@ -194,6 +196,8 @@ def test_dead_worker_becomes_a_failed_case(monkeypatch, capfd, tmp_path, serial_
     assert "maps" in errors and report["failed"] == len(errors)
     for error in errors.values():
         assert error["passed"] is False and error["params"]["error"] == "BrokenProcessPool"
+        # the runner's own frame, not one inside concurrent.futures
+        assert re.fullmatch(r"verify\.py:\d+ in _forked", error["params"]["where"])
     expected = [[errors[name]] if name in errors else serial_suites[name][0]
                 for name in verify.SUITES]
     assert [c["id"] for c in report["cases"]] == [c["id"] for cs in expected for c in cs]
