@@ -35,6 +35,7 @@ __all__ = [
     "gammas",
     "relation_residual",
     "det_identity",
+    "det_identities",
     "bargmann_closed",
     "gaussian_mc",
     "gegenbauer_series_check",
@@ -76,14 +77,18 @@ def _check_level(n: int):
         raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {n}")
 
 
+def _frozen(mats: tuple) -> tuple:
+    for g in mats:  # shared by every caller of gammas(n)
+        g.setflags(write=False)
+    return mats
+
+
 # the three 2x2 matrices of level 1, the last one the identity
-_LEVEL1_GAMMAS = (
+_LEVEL1_GAMMAS = _frozen((
     np.array([[0.0, 1j], [1j, 0.0]]),
     np.array([[1j, 0.0], [0.0, -1j]]),
     np.eye(2, dtype=complex),
-)
-for _g in _LEVEL1_GAMMAS:  # shared by every caller of gammas(1)
-    _g.setflags(write=False)
+))
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +113,7 @@ def _block_gammas(n: int) -> tuple:
         )
     if relation_residual(mats) != 0.0:
         raise AssertionError(f"the level-{n} Gammas miss their relations")
-    return mats
+    return _frozen(mats)
 
 
 def _gammas(n: int) -> tuple:
@@ -144,38 +149,53 @@ def build_A(n: int, x) -> CliffordMatrix:
     to equal that sum exactly, hence A A^dagger = |x|^2 I.
     """
     _check_level(n)
-    gam = _gammas(n)
     x = tuple(float(v) for v in x)
-    if len(x) != len(gam):
-        raise ValueError(f"level {n} needs {len(gam)} parameters, got {len(x)}")
-    linear = sum(v * g for v, g in zip(x, gam))
+    return CliffordMatrix(n, x, _entries(n, np.array(x)))
+
+
+def _entries(n: int, x: np.ndarray) -> np.ndarray:
+    """A_n for each parameter vector along the last axis of ``x``.
+
+    Level 1 is sum x_i Gamma_i; higher levels come from the block recursion,
+    checked to equal that sum exactly.
+    """
+    gam = _gammas(n)
+    if x.shape[-1] != len(gam):
+        raise ValueError(f"level {n} needs {len(gam)} parameters, got {x.shape[-1]}")
+    linear = np.zeros(x.shape[:-1] + gam[0].shape, dtype=complex)
+    for i, g in enumerate(gam):  # in place: one stack and one term at a time
+        linear += x[..., i, None, None] * g
     if n == 1:
-        return CliffordMatrix(n, x, linear)
+        return linear
     entries = _recursive_entries(n, x)
     if not np.array_equal(entries, linear):
         raise AssertionError("block recursion disagrees with sum x_i Gamma_i")
-    return CliffordMatrix(n, x, entries)
+    return entries
 
 
-def _recursive_entries(n: int, x: tuple) -> np.ndarray:
+def _recursive_entries(n: int, x) -> np.ndarray:
     # A_n = [[(x_2n + i x_2n-1) I, A_n-1], [-A_n-1^dagger, (x_2n - i x_2n-1) I]]
-    # with the 1x1 base A_1 = x_2 + i x_1.
+    # with the 1x1 base A_1 = x_2 + i x_1, for each parameter vector along the
+    # last axis of x.
+    x = np.asarray(x, dtype=float)
     if n == 1:
-        return np.array([[x[1] + 1j * x[0]]])
-    inner = _recursive_entries(n - 1, x[: 2 * n - 2])
+        return (x[..., 1] + 1j * x[..., 0])[..., None, None]
+    inner = _recursive_entries(n - 1, x[..., : 2 * n - 2])
     s = matrix_size(n - 1)
-    out = np.empty((2 * s, 2 * s), dtype=complex)
-    for block, c in ((out[:s, :s], x[2 * n - 1] + 1j * x[2 * n - 2]),
-                     (out[s:, s:], x[2 * n - 1] - 1j * x[2 * n - 2])):
+    out = np.empty(x.shape[:-1] + (2 * s, 2 * s), dtype=complex)
+    diagonal = np.arange(s)
+    for half, c in ((slice(None, s), x[..., 2 * n - 1] + 1j * x[..., 2 * n - 2]),
+                    (slice(s, None), x[..., 2 * n - 1] - 1j * x[..., 2 * n - 2])):
         # the entries of c * I, signed zeros included
-        block[...] = c * 0j
-        np.fill_diagonal(block, c * (1 + 0j))
-    out[:s, s:] = inner
-    out[s:, :s] = -inner.conj().T
+        block = out[..., half, half]
+        block[...] = (c * 0j)[..., None, None]
+        block[..., diagonal, diagonal] = (c * (1 + 0j))[..., None]
+    out[..., :s, s:] = inner
+    out[..., s:, :s] = -np.conj(np.swapaxes(inner, -1, -2))
     return out
 
 
-def _closed_det(n: int, x: tuple, alpha: complex) -> complex:
+def _closed_det(n: int, x, alpha: complex) -> complex:
     base = 1.0 - 2.0 * alpha * x[-1] + alpha ** 2 * sum(v * v for v in x)
     power = 1 if n == 1 else 1 << (n - 2)
     return complex(base) ** power
@@ -183,12 +203,31 @@ def _closed_det(n: int, x: tuple, alpha: complex) -> complex:
 
 def det_identity(n: int, x, alpha: complex) -> GaussianResult:
     """det(I - alpha A_n) by LU against the closed form, with the residual."""
-    a = build_A(n, x)
-    value = complex(np.linalg.det(np.eye(a.entries.shape[0]) - alpha * a.entries))
-    closed = _closed_det(n, a.x, alpha)
-    if abs(closed) < 1e-12:
-        raise SingularityError("closed-form determinant vanishes at these parameters")
-    return GaussianResult(value, closed, abs(value - closed), "determinant")
+    return next(det_identities(n, [x], [alpha]))
+
+
+def det_identities(n: int, xs, alphas):
+    """``det_identity`` at each row of ``xs`` with its entry of ``alphas``.
+
+    One stacked build makes the level-n matrix of every row, and one LU call
+    takes the determinants of the whole stack; the closed form and its check
+    stay per row, in Python scalars.  Yields one GaussianResult per row, in
+    order.  A row whose closed form vanishes raises SingularityError after
+    the rows before it have been yielded.
+    """
+    _check_level(n)
+    xs = np.asarray(xs, dtype=float)
+    alphas = np.asarray(alphas)
+    if xs.ndim != 2 or alphas.shape != xs.shape[:1]:
+        raise ValueError(f"need one row of xs per alpha, got shapes {xs.shape} and {alphas.shape}")
+    # I - alpha A, formed in the buffer of alpha A
+    scaled = alphas[:, None, None] * _entries(n, xs)
+    values = np.linalg.det(np.subtract(np.eye(scaled.shape[-1]), scaled, out=scaled))
+    for x, alpha, value in zip(xs.tolist(), alphas.tolist(), values.tolist()):
+        closed = _closed_det(n, x, alpha)
+        if abs(closed) < 1e-12:
+            raise SingularityError("closed-form determinant vanishes at these parameters")
+        yield GaussianResult(value, closed, abs(value - closed), "determinant")
 
 
 def bargmann_closed(n: int, x, alpha: complex) -> complex:

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, SingularityError
 from .specfun import (
     QuantumNumbers,
+    check_integer_labels,
     gegenbauer,
     laguerre,
     spherical_angles,
@@ -398,7 +399,9 @@ def extract_coefficient(kind: str, qn, n0: int, *, nodes=(48, 24, 24, 24)):
     z^n alpha^l phi_lm(xi, eta) at delta = 1/n0, by the trapezoidal Cauchy
     rule on the circles ``EXTRACTION_RADII`` (|z| = 0.4, |alpha| = 0.5,
     |xi| = |eta| = 0.7).  For a state of the expansion (n = n0) it equals
-    sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).
+    sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).  The
+    labels must be integers with n >= 1 and |m| <= l; l >= n is allowed
+    (its coefficient is 0).
 
     Only z aliases.  Every term z^n alpha^l of both generating functions has
     l <= n - 1 and is (a.v)^l times a factor in z, with a.v quadratic in
@@ -421,6 +424,7 @@ def extract_coefficient(kind: str, qn, n0: int, *, nodes=(48, 24, 24, 24)):
         n, l, m = qn.n, qn.l, qn.m
     except AttributeError:
         n, l, m = qn
+    check_integer_labels(n=n, l=l, m=m)
     if n < 1 or l < 0 or abs(m) > l:
         raise ValueError(f"invalid coefficient labels (n, l, m) = ({n}, {l}, {m})")
     if nodes[0] < n + 5 or nodes[1] <= max(l, n - 1) or min(nodes[2:]) <= 2 * l:

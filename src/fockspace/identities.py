@@ -29,6 +29,7 @@ from .specfun import (
     gegenbauer_ladder,
     spherical_angles,
     spherical_bessel,
+    spherical_bessels,
     spherical_harmonic,
     spherical_harmonics,
     wigner_3j,
@@ -213,11 +214,11 @@ def plane_wave_partial(rvec, rpvec, L: int) -> PlaneWaveCheck:
     _, thp, php = spherical_angles(rpvec)
     ylm = spherical_harmonics(L, th, ph)
     ylm_p = spherical_harmonics(L, thp, php)
+    jl = spherical_bessels(L, r * rp)
     partial = 0.0 + 0.0j
     for l in range(L + 1):
-        jl = spherical_bessel(l, r * rp)
         msum = sum(np.conj(ylm_p[l, m]) * ylm[l, m] for m in range(-l, l + 1))
-        partial += 4.0 * math.pi * 1j ** l * jl * msum
+        partial += 4.0 * math.pi * 1j ** l * jl[l] * msum
     return PlaneWaveCheck(exact, partial, abs(exact - partial) / max(1.0, abs(exact)))
 
 

@@ -47,15 +47,14 @@ def ks_map(u):
     """
     u = np.asarray(u, dtype=float)
     u1, u2, u3, u4 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    xyz = np.stack(
-        [
-            2.0 * (u1 * u3 + u2 * u4),
-            2.0 * (u1 * u4 - u2 * u3),
-            u1 ** 2 + u2 ** 2 - u3 ** 2 - u4 ** 2,
-        ],
-        axis=-1,
-    )
-    r = np.sum(u * u, axis=-1)
+    xyz = np.empty(u.shape[:-1] + (3,))
+    xyz[..., 0] = 2.0 * (u1 * u3 + u2 * u4)
+    xyz[..., 1] = 2.0 * (u1 * u4 - u2 * u3)
+    upper, sq3, sq4 = u1 * u1 + u2 * u2, u3 * u3, u4 * u4
+    xyz[..., 2] = upper - sq3 - sq4
+    # an explicit sum from left to right: bit-equal to np.sum(u * u, axis=-1)
+    # over this short axis, at about a quarter of its cost
+    r = upper + sq3 + sq4
     return xyz, r
 
 

@@ -40,12 +40,14 @@ import numpy as np
 
 __all__ = [
     "QuantumNumbers",
+    "check_integer_labels",
     "laguerre",
     "gegenbauer",
     "gegenbauer_ladder",
     "spherical_harmonic",
     "spherical_harmonics",
     "spherical_bessel",
+    "spherical_bessels",
     "wigner_3j",
     "wigner_d_small",
     "wigner_D",
@@ -70,16 +72,21 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        for label in ("n", "l", "m"):
-            value = getattr(self, label)
-            if not float(value).is_integer():
-                raise ValueError(f"quantum number {label} must be an integer, got {label}={value}")
+        check_integer_labels(n=self.n, l=self.l, m=self.m)
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not 0 <= self.l <= self.n - 1:
             raise ValueError(f"need 0 <= l <= n-1, got (n, l) = ({self.n}, {self.l})")
         if abs(self.m) > self.l:
             raise ValueError(f"need |m| <= l, got (l, m) = ({self.l}, {self.m})")
+
+
+def check_integer_labels(**labels) -> None:
+    """Raise ValueError naming the first of the quantum-number ``labels``
+    (name=value) whose value is not an integer."""
+    for label, value in labels.items():
+        if not float(value).is_integer():
+            raise ValueError(f"quantum number {label} must be an integer, got {label}={value}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +261,7 @@ def spherical_bessel(l: int, x):
     Uses the power series near zero, upward recurrence where it is stable
     (x >= l) and Miller's downward recurrence otherwise; j_l(inf) = 0.
     """
-    if l < 0 or l != int(l):
-        raise ValueError(f"order must be a nonnegative integer, got {l}")
-    l = int(l)
+    l = _check_order(l, "order")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -274,11 +279,44 @@ def spherical_bessel(l: int, x):
         res = np.empty_like(xb)
         up = xb >= l
         if np.any(up):
-            res[up] = _bessel_upward(l, xb[up])
+            for res_up in _bessel_upward(l, xb[up]):
+                pass
+            res[up] = res_up
         if np.any(~up):
-            res[~up] = _bessel_downward(l, xb[~up])
+            res[~up] = _bessel_downward(l, l, xb[~up])[0]
         out[big] = res
     return out[0] if scalar else out
+
+
+def spherical_bessels(L: int, x) -> np.ndarray:
+    """j_0(x), j_1(x), ..., j_L(x) at one x >= 0, as an array of L + 1.
+
+    One upward pass serves every order l <= x, and one downward loop runs
+    the Miller recurrences of the orders l > x side by side, so the table
+    costs one recurrence where L + 1 ``spherical_bessel`` calls cost L + 1.
+    Each entry equals ``spherical_bessel(l, x)`` bit for bit.
+    """
+    L = _check_order(L, "L")
+    value = float(x)
+    x = np.array([value])
+    if value < 1e-3:
+        return np.array([_bessel_series(l, x)[0] for l in range(L + 1)])
+    if value == np.inf:
+        return np.zeros(L + 1)
+    # the orders l <= x take the upward branch (none where x is NaN)
+    upward = min(L, int(value)) + 1 if value >= 0.0 else 0
+    out = np.empty(L + 1)
+    if upward:
+        out[:upward] = np.concatenate(list(_bessel_upward(upward - 1, x)))
+    if upward <= L:
+        out[upward:] = _bessel_downward(upward, L, x)[:, 0]
+    return out
+
+
+def _check_order(l, name: str) -> int:
+    if l < 0 or l != int(l):
+        raise ValueError(f"{name} must be a nonnegative integer, got {l}")
+    return int(l)
 
 
 def _bessel_series(l: int, x):
@@ -291,27 +329,35 @@ def _bessel_series(l: int, x):
     return x ** l / dfact * korr
 
 
-def _bessel_upward(l: int, x):
-    # only called with x >= max(1e-3, l) > 0
+def _bessel_upward(L: int, x):
+    # yields j_0(x), ..., j_L(x); only called with x >= max(1e-3, L) > 0
     j0 = np.sin(x) / x
-    if l == 0:
-        return j0
+    yield j0
+    if L == 0:
+        return
     j1 = j0 / x - np.cos(x) / x
-    if l == 1:
-        return j1
-    for n in range(1, l):
+    yield j1
+    for n in range(1, L):
         j0, j1 = j1, (2 * n + 1) / x * j1 - j0
-    return j1
+        yield j1
 
 
-def _bessel_downward(l: int, x):
-    # Miller's algorithm: recur down from a safely high order, then normalize
-    # against j_0 = sin(x)/x.
-    lstart = l + int(np.ceil(np.sqrt(40.0 * max(l, 1)))) + 15
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
-    target = np.zeros_like(x)
-    for n in range(lstart, 0, -1):
+def _bessel_downward(lo: int, hi: int, x):
+    # Miller's algorithm for the orders lo..hi (rows) at the 1-D points x
+    # (columns): recur down from a safely high order, then normalize against
+    # j_0 = sin(x)/x.  Each order keeps its own start and its own rescaling:
+    # it joins the loop as the new first row at its start, so every row is
+    # bit-equal to a loop over that order alone.
+    starts = [l + int(np.ceil(np.sqrt(40.0 * max(l, 1)))) + 15 for l in range(lo, hi + 1)]
+    x = x[None, :]
+    jp = jc = target = np.empty((0, x.shape[1]))
+    first = hi + 1  # the lowest order in the loop
+    for n in range(starts[-1], 0, -1):
+        if first > lo and starts[first - 1 - lo] == n:
+            first -= 1
+            jp = np.concatenate((np.zeros(x.shape), jp))
+            jc = np.concatenate((np.full(x.shape, 1e-30), jc))
+            target = np.concatenate((np.zeros(x.shape), target))
         jp, jc = jc, (2 * n + 1) / x * jc - jp
         # renormalize to dodge overflow
         big = np.abs(jc) > 1e250
@@ -319,8 +365,8 @@ def _bessel_downward(l: int, x):
             jc = np.where(big, jc * 1e-250, jc)
             jp = np.where(big, jp * 1e-250, jp)
             target = np.where(big, target * 1e-250, target)
-        if n - 1 == l:
-            target = jc.copy()
+        if lo <= n - 1 <= hi:
+            target[n - 1 - first] = jc[n - 1 - first]
     return target * (np.sin(x) / x) / jc
 
 

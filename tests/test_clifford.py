@@ -81,6 +81,17 @@ def test_relation_residual():
     assert math.isnan(cl.relation_residual(gam[:1] + (poisoned,) + gam[2:]))
 
 
+def test_gammas_are_read_only():
+    # every caller shares the cached Gammas: a write would corrupt them all
+    x = np.random.default_rng(5).normal(size=6)
+    want = cl.build_A(3, x).entries
+    for n in range(1, 7):
+        for g in cl.gammas(n):
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 5
+    assert np.array_equal(cl.build_A(3, x).entries, want)
+
+
 def test_gamma3_of_level2():
     gam = cl.gammas(2)
     assert np.array_equal(gam[2], np.array([[1j, 0], [0, -1j]]))
@@ -151,6 +162,21 @@ def test_det_identity_rejects_pole():
     # alpha = 1 gives 1 - 2 + 1 = 0
     with pytest.raises(SingularityError):
         cl.det_identity(2, (0, 0, 0, 1), 1.0)
+
+
+def test_det_identities_yield_the_rows_before_a_pole():
+    results = cl.det_identities(2, [(0, 0, 0, 0.5), (0, 0, 0, 1), (0, 0, 0, 2)], [0.3, 1.0, 0.1])
+    assert next(results) == cl.det_identity(2, (0, 0, 0, 0.5), 0.3)
+    with pytest.raises(SingularityError, match="closed-form determinant vanishes"):
+        next(results)
+
+
+def test_det_identities_need_one_row_per_alpha():
+    for xs, alphas in (([(0, 0, 0, 1)] * 2, [0.3]), ((0, 0, 0, 1), 0.3)):
+        with pytest.raises(ValueError, match="one row of xs per alpha"):
+            next(cl.det_identities(2, xs, alphas))
+    with pytest.raises(ValueError, match="level 2 needs 4 parameters"):
+        next(cl.det_identities(2, [(0, 0, 1)], [0.3]))
 
 
 def test_bargmann_closed_forms():

@@ -443,6 +443,14 @@ def test_extraction_zero_for_l_at_least_n():
     assert abs(coeff((0.3, 0.1, -0.2))) < 1e-10
 
 
+def test_extraction_refuses_non_integral_labels():
+    for qn, label in (((2, 1.5, 0), "l"), ((2, 1, 0.5), "m"), ((2.5, 1, 0), "n")):
+        with pytest.raises(ValueError, match=f"quantum number {label} must be an integer"):
+            hy.extract_coefficient("position", qn, 2, nodes=(48, 24, 10, 10))
+    # l >= n stays accepted: its coefficient is 0
+    hy.extract_coefficient("position", (2, 2, 0), 2, nodes=(48, 24, 10, 10))
+
+
 def test_extraction_convergence_guard():
     # 8 z nodes alias degree n + 8 into the value; the top bins say so
     point = (0.5, 0.2, 0.1)

@@ -211,14 +211,22 @@ def test_plane_wave_converged():
 
 
 def test_plane_wave_equals_per_term_sum():
-    # the m-sum in the same order, two scalar harmonics per term
+    # the m-sum in the same order, two scalar harmonics and one single-order
+    # Bessel value per term
     rng = np.random.default_rng(11)
     points = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
     points += [((0.0, 0.0, 1.3), (0.0, 0.0, -0.4)), ((0.2, -0.7, 0.0), (0.0, 0.0, 2.0))]
-    for rvec, rpvec in points:
+    degrees = [(0, 1, 2, 3, 5, 12)] * len(points)
+    # the suite's points, |r||r'| = sqrt(2) and 5, where the orders cross
+    # from the upward recurrence to Miller's
+    rv = rng.normal(size=3)
+    unit = np.array([0.3, 0.8, 0.52]) / np.linalg.norm([0.3, 0.8, 0.52])
+    points += [(rv * math.sqrt(2.0) / np.linalg.norm(rv), unit), ((5.0, 0.0, 0.0), unit)]
+    degrees += [(25, 30)] * 2
+    for (rvec, rpvec), Ls in zip(points, degrees):
         r, th, ph = sf.spherical_angles(rvec)
         rp, thp, php = sf.spherical_angles(rpvec)
-        for L in (0, 1, 2, 3, 5, 12):
+        for L in Ls:
             partial = 0.0 + 0.0j
             for l in range(L + 1):
                 msum = sum(
@@ -227,7 +235,8 @@ def test_plane_wave_equals_per_term_sum():
                     for m in range(-l, l + 1)
                 )
                 partial += 4.0 * math.pi * 1j ** l * sf.spherical_bessel(l, r * rp) * msum
-            assert idn.plane_wave_partial(rvec, rpvec, L).partial == partial
+            got = idn.plane_wave_partial(rvec, rpvec, L).partial
+            assert np.array_equal(np.array([got]).view(np.int64), np.array([partial]).view(np.int64))
 
 
 def test_plane_wave_tail_decays_geometrically():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockspace import quadmaps as qm, quadrature as qr
+from fockspace import quadmaps as qm, quadrature as qr, verify
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -208,6 +208,57 @@ def test_hermite_lift_far_corner_folds_the_weight_into_the_exponent(npts):
         warnings.simplefilter("error")
         got = qm._hermite_lift(exp_decay, rule)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def _hermite_block():
+    # the first block of rows that the 28-node lift hands to ks_map
+    blocks = []
+    genuine = qm.ks_map
+
+    def recording(u):
+        blocks.append(np.array(u))
+        return genuine(u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qm, "ks_map", recording)
+        qm._hermite_lift(exp_decay, qr.gauss_hermite(28))
+    return blocks[0]
+
+
+def _lattice_rows():
+    # the 8191 Gaussian points of one shift of the lattice rule in R^4
+    rows = []
+
+    def recording(u):
+        rows.append(np.array(u))
+        return np.zeros(len(u))
+
+    qr.mc_gaussian(4, recording, 2 * N, seed=42)
+    return rows[0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("rows", [_hermite_block, _lattice_rows])
+def test_row_sums_equal_the_axis_reductions(rows):
+    # the explicit left-to-right sums against the np.sum / np.linalg.norm
+    # forms they replaced, bit for bit
+    u = rows()
+    assert u.shape in ((7840, 4), (N, 4))
+    xyz, r = qm.ks_map(u)
+    u1, u2, u3, u4 = u.T
+    want = np.stack([2.0 * (u1 * u3 + u2 * u4), 2.0 * (u1 * u4 - u2 * u3),
+                     u1 ** 2 + u2 ** 2 - u3 ** 2 - u4 ** 2], axis=-1)
+    assert np.array_equal(_bits(xyz), _bits(want))
+    assert np.array_equal(_bits(r), _bits(np.sum(u * u, axis=-1)))
+    # the maps suite's integrands exp(-|p|), exp(-|p|^2) and 1(|p|^2 < 1)
+    assert np.array_equal(_bits(verify._exp_minus_r(xyz)),
+                          _bits(np.exp(-np.linalg.norm(xyz, axis=-1))))
+    assert np.array_equal(_bits(verify._r_squared(xyz)), _bits(np.sum(xyz ** 2, axis=-1)))
+    assert np.array_equal(_bits(np.sqrt(verify._r_squared(xyz))),
+                          _bits(np.linalg.norm(xyz, axis=-1)))
 
 
 def test_ks_integral_error_estimate_reported():

@@ -352,6 +352,55 @@ def test_bessel_matches_scipy(l):
     assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
+def bessel_loop(l, x):
+    # one order at one point 1e-3 <= x < inf, its recurrence run alone in
+    # Python floats: upward where x >= l, else Miller's from
+    # l + ceil(sqrt(40 l)) + 15, rescaled by 1e-250 past 1e250
+    sin, cos = (float(f(np.array([x]))[0]) for f in (np.sin, np.cos))
+    if x >= l:
+        j0, j1 = sin / x, sin / x / x - cos / x
+        for n in range(1, l):
+            j0, j1 = j1, (2 * n + 1) / x * j1 - j0
+        return j0 if l == 0 else j1
+    jp, jc, target = 0.0, 1e-30, 0.0
+    for n in range(l + int(np.ceil(np.sqrt(40.0 * max(l, 1)))) + 15, 0, -1):
+        jp, jc = jc, (2 * n + 1) / x * jc - jp
+        if abs(jc) > 1e250:
+            jc, jp, target = jc * 1e-250, jp * 1e-250, target * 1e-250
+        if n - 1 == l:
+            target = jc
+    return target * (sin / x) / jc
+
+
+_rng = np.random.default_rng(2024)
+BESSEL_POINTS = [0.0, 1e-4, 1e-3, 1.0, math.sqrt(2.0), 2.0, 5.0, 25.0, 30.5, 60.0, math.inf]
+BESSEL_POINTS += [float(v) for v in _rng.uniform(0.0, 40.0, 50)]
+
+
+@pytest.fixture(scope="module")
+def single_order_bessels():
+    """spherical_bessel(l, BESSEL_POINTS) for l <= 60, one row per order."""
+    return np.array([sf.spherical_bessel(l, BESSEL_POINTS) for l in range(61)])
+
+
+@pytest.mark.parametrize("L", [0, 1, 3, 25, 30, 60])
+def test_spherical_bessels_entries_are_the_single_order_values(L, single_order_bessels):
+    for i, x in enumerate(BESSEL_POINTS):
+        got = sf.spherical_bessels(L, x)
+        want = single_order_bessels[:L + 1, i]
+        assert got.shape == (L + 1,) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), x
+        if 1e-3 <= x < math.inf:
+            loop = np.array([bessel_loop(l, x) for l in range(L + 1)])
+            assert np.array_equal(got.view(np.int64), loop.view(np.int64)), x
+
+
+def test_spherical_bessels_rejects_bad_order():
+    for L in (-1, 1.5):
+        with pytest.raises(ValueError, match="L must be a nonnegative integer"):
+            sf.spherical_bessels(L, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Wigner 3j
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockspace import cli, clifford, hydrogen, identities, verify
@@ -232,3 +233,56 @@ def test_clifford_det_is_the_clifford_suites_first_draws():
     assert det.suite == "clifford-det"
     assert det.cases == full.cases[:1000]
     assert det.paper_discrepancies == []
+
+
+def _det_draws(seed):
+    # the determinant sweep's draws: per level, x then alpha for each trial
+    rng = np.random.default_rng(seed)
+    for n in range(1, 6):
+        for trial in range(200):
+            x = rng.normal(size=3 if n == 1 else 2 * n)
+            yield n, trial, x, rng.uniform(-1.0, 1.0) * 0.5 / (1.0 + float(np.linalg.norm(x)))
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_stacked_det_sweep_is_the_per_draw_det_identity(seed, pooled_report):
+    report = pooled_report if seed == 42 else verify.run_verify("clifford-det", seed=seed)
+    cases = [c for c in report.cases if c["id"].startswith("det_identity[")]
+    assert len(cases) == 1000
+    for case, (n, trial, x, alpha) in zip(cases, _det_draws(seed)):
+        assert case["id"] == f"det_identity[n={n},trial={trial}]"
+        assert case["params"] == {"n": n, "alpha": alpha}
+        res = clifford.det_identity(n, x, alpha)
+        # the loop reference: one matrix, one LU and the closed form per draw
+        a = clifford.build_A(n, x).entries
+        value = complex(np.linalg.det(np.eye(a.shape[0]) - alpha * a))
+        base = 1.0 - 2.0 * alpha * float(x[-1]) + alpha ** 2 * sum(v * v for v in map(float, x))
+        closed = complex(base) ** (1 if n == 1 else 1 << (n - 2))
+        for got in (res.value, value):
+            assert _bits(*case["lhs"]) == _bits(got.real, got.imag), case["id"]
+        for got in (res.closed_form, closed):
+            assert _bits(*case["rhs"]) == _bits(got.real, got.imag), case["id"]
+        for got in (res.residual, abs(value - closed)):
+            assert _bits(case["residual"]) == _bits(got / abs(closed)), case["id"]
+
+
+def test_vanishing_closed_form_fails_the_sweep_after_the_draws_before_it(monkeypatch):
+    genuine = clifford._closed_det
+    calls = []
+
+    def vanishing(n, x, alpha):
+        calls.append(n)
+        return 0.0 if calls.count(3) == 58 and n == 3 else genuine(n, x, alpha)
+
+    want = verify.run_verify("clifford-det", seed=42).cases
+    monkeypatch.setattr(clifford, "_closed_det", vanishing)
+    cases = verify.run_verify("clifford-det", seed=42).cases
+    assert cases[:-1] == want[:457]
+    assert cases[-1]["id"] == "suite_error[clifford-det]"
+    assert cases[-1]["params"]["error"] == "SingularityError"
+    assert cases[-1]["params"]["message"] == "closed-form determinant vanishes at these parameters"
+    assert not cases[-1]["passed"]
