@@ -185,22 +185,21 @@ def _table_rows(args, parser):
         except ValueError as exc:
             parser.error(str(exc))
         return ["x", "C_m_a"], [[x, v] for x, v in zip(grid, vals)]
-    if args.kind == "fock":
-        if args.delta is None:
-            parser.error("table fock needs --delta")
-        if args.delta <= 0:
-            parser.error("--delta must be positive")
-        gridspec = args.grid_p if args.grid_p is not None else args.grid
-        grid = _parse_grid(gridspec, parser, "table fock needs --grid-p (or --grid)")
-        if grid[0] < 0:
-            parser.error("momentum grid must be nonnegative")
-        rows = []
-        for p in grid:
-            y = hydrogen.fock_map((0.0, 0.0, float(p)), args.delta).y
-            norm = math.sqrt(sum(c * c for c in y))
-            rows.append([p, *y, norm])
-        return ["p_au", "y1", "y2", "y3", "y4", "norm"], rows
-    parser.error(f"unknown table kind {args.kind!r}")
+    # "fock", the last kind that argparse admits
+    if args.delta is None:
+        parser.error("table fock needs --delta")
+    if args.delta <= 0:
+        parser.error("--delta must be positive")
+    gridspec = args.grid_p if args.grid_p is not None else args.grid
+    grid = _parse_grid(gridspec, parser, "table fock needs --grid-p (or --grid)")
+    if grid[0] < 0:
+        parser.error("momentum grid must be nonnegative")
+    rows = []
+    for p in grid:
+        y = hydrogen.fock_map((0.0, 0.0, float(p)), args.delta).y
+        norm = math.sqrt(sum(c * c for c in y))
+        rows.append([p, *y, norm])
+    return ["p_au", "y1", "y2", "y3", "y4", "norm"], rows
 
 
 def cmd_table(args, parser) -> int:
@@ -330,15 +329,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "eval":
         return cmd_eval(args, parser)
-    if args.command == "table":
-        return cmd_table(args, parser)
     if args.command in ("verify", "clifford-det"):
         return cmd_verify(args, parser)
     if args.command == "fock-map":
         args.kind = "fock"
-        return cmd_table(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return cmd_table(args, parser)  # "table" or "fock-map"
 
 
 if __name__ == "__main__":

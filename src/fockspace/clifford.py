@@ -2,8 +2,11 @@
 
 The level-n matrix A_n = sum_i x_i Gamma_i acts on C^(2^(n-1)) with 2n real
 parameters (level 1 is the special 2x2 three-parameter case over real
-integration variables).  The Gamma_i with i < 2n square to -I and pairwise
-anticommute; the last one is the identity.  This structure forces
+integration variables).  Each level n >= 2 is built one way, by the block
+recursion; its Gamma_i is that recursion at the unit vector e_i.  The
+Gamma_i with i < 2n square to -I and pairwise anticommute; the last one is
+the identity.  ``build_A`` returns A_n as a read-only array.  This
+structure forces
 
     det(I - alpha A_n) = (1 - 2 alpha x_last + alpha^2 |x|^2)^(2^(n-2)),
 
@@ -28,7 +31,6 @@ from .errors import IntegrabilityError, SingularityError
 from .specfun import gegenbauer_ladder
 
 __all__ = [
-    "CliffordMatrix",
     "GaussianResult",
     "matrix_size",
     "build_A",
@@ -50,18 +52,6 @@ def matrix_size(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CliffordMatrix:
-    """Level-n member A_n = sum_i x_i Gamma_i with its parameter vector."""
-
-    level: int
-    x: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class GaussianResult:
     """A Gaussian-integral value next to its closed form, never silently."""
 
@@ -77,47 +67,29 @@ def _check_level(n: int):
         raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {n}")
 
 
-def _frozen(mats: tuple) -> tuple:
-    for g in mats:  # shared by every caller of gammas(n)
-        g.setflags(write=False)
-    return mats
+def _frozen_rows(stack: np.ndarray) -> tuple:
+    stack.setflags(write=False)  # and so its rows, shared by every caller of gammas(n)
+    return tuple(stack)
 
 
 # the three 2x2 matrices of level 1, the last one the identity
-_LEVEL1_GAMMAS = _frozen((
-    np.array([[0.0, 1j], [1j, 0.0]]),
-    np.array([[1j, 0.0], [0.0, -1j]]),
-    np.eye(2, dtype=complex),
-))
+_LEVEL1_GAMMAS = _frozen_rows(np.array([
+    [[0.0, 1j], [1j, 0.0]],
+    [[1j, 0.0], [0.0, -1j]],
+    [[1.0, 0.0], [0.0, 1.0]],
+]))
 
 
 @lru_cache(maxsize=None)
-def _block_gammas(n: int) -> tuple:
-    """The 2n constant matrices of the level-n >= 2 family, last one = I.
-
-    Built by the block recursion; the base 1x1 pair (i), (1) realizes the
-    level-2 quaternion units.  Relations are verified exactly on first use.
-    """
+def _gammas(n: int) -> tuple:
+    """The Gammas of level n; from level 2 on, the block recursion at each
+    unit vector e_i, with the relations verified exactly on first use."""
     if n == 1:
-        mats = (np.array([[1j]]), np.array([[1.0 + 0.0j]]))
-    else:
-        inner = _block_gammas(n - 1)
-        s = matrix_size(n - 1)
-        zero = np.zeros((s, s), dtype=complex)
-        eye = np.eye(s, dtype=complex)
-        mats = tuple(
-            np.block([[zero, g], [-g.conj().T, zero]]) for g in inner
-        ) + (
-            np.block([[1j * eye, zero], [zero, -1j * eye]]),
-            np.eye(2 * s, dtype=complex),
-        )
+        return _LEVEL1_GAMMAS
+    mats = _frozen_rows(_recursive_entries(n, np.eye(2 * n)))
     if relation_residual(mats) != 0.0:
         raise AssertionError(f"the level-{n} Gammas miss their relations")
-    return _frozen(mats)
-
-
-def _gammas(n: int) -> tuple:
-    return _LEVEL1_GAMMAS if n == 1 else _block_gammas(n)
+    return mats
 
 
 def relation_residual(mats) -> float:
@@ -135,22 +107,23 @@ def gammas(n: int) -> tuple:
     """The constant matrices Gamma_i = dA_n/dx_i; the last one is the identity.
 
     Level 1 returns the three 2x2 generators; level n >= 2 returns 2n
-    matrices of side 2^(n-1).
+    matrices of side 2^(n-1), the block recursion at each unit vector.
     """
     _check_level(n)
     return _gammas(n)
 
 
-def build_A(n: int, x) -> CliffordMatrix:
-    """Assemble the level-n matrix for parameter vector x.
+def build_A(n: int, x) -> np.ndarray:
+    """The level-n matrix for parameter vector x, as a read-only complex array.
 
     x has one entry per Gamma: 3 at level 1 and 2n at level n >= 2.  Level 1
     is sum x_i Gamma_i; higher levels come from the block recursion, checked
     to equal that sum exactly, hence A A^dagger = |x|^2 I.
     """
     _check_level(n)
-    x = tuple(float(v) for v in x)
-    return CliffordMatrix(n, x, _entries(n, np.array(x)))
+    entries = _entries(n, np.array([float(v) for v in x]))
+    entries.setflags(write=False)
+    return entries
 
 
 def _entries(n: int, x: np.ndarray) -> np.ndarray:
@@ -195,8 +168,12 @@ def _recursive_entries(n: int, x) -> np.ndarray:
     return out
 
 
+def _squared_norm(x) -> float:
+    return sum(v * v for v in x)
+
+
 def _closed_det(n: int, x, alpha: complex) -> complex:
-    base = 1.0 - 2.0 * alpha * x[-1] + alpha ** 2 * sum(v * v for v in x)
+    base = 1.0 - 2.0 * alpha * x[-1] + alpha ** 2 * _squared_norm(x)
     power = 1 if n == 1 else 1 << (n - 2)
     return complex(base) ** power
 
@@ -220,14 +197,20 @@ def det_identities(n: int, xs, alphas):
     alphas = np.asarray(alphas)
     if xs.ndim != 2 or alphas.shape != xs.shape[:1]:
         raise ValueError(f"need one row of xs per alpha, got shapes {xs.shape} and {alphas.shape}")
-    # I - alpha A, formed in the buffer of alpha A
-    scaled = alphas[:, None, None] * _entries(n, xs)
-    values = np.linalg.det(np.subtract(np.eye(scaled.shape[-1]), scaled, out=scaled))
+    values = _lu_dets(n, xs, alphas)
     for x, alpha, value in zip(xs.tolist(), alphas.tolist(), values.tolist()):
         closed = _closed_det(n, x, alpha)
         if abs(closed) < 1e-12:
             raise SingularityError("closed-form determinant vanishes at these parameters")
         yield GaussianResult(value, closed, abs(value - closed), "determinant")
+
+
+def _lu_dets(n: int, xs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """det(I - alpha A_n) for each row of ``xs`` with its entry of ``alphas``:
+    I - alpha A is formed in the buffer of alpha A, and one LU call takes the
+    determinants of the whole stack."""
+    scaled = alphas[:, None, None] * _entries(n, xs)
+    return np.linalg.det(np.subtract(np.eye(scaled.shape[-1]), scaled, out=scaled))
 
 
 def bargmann_closed(n: int, x, alpha: complex) -> complex:
@@ -236,8 +219,8 @@ def bargmann_closed(n: int, x, alpha: complex) -> complex:
     1/det(I - alpha A_n) for the complex levels n >= 2; the level-1 integral
     runs over real variables, giving det^(-1/2).
     """
-    a = build_A(n, x)
-    det = complex(np.linalg.det(np.eye(a.entries.shape[0]) - alpha * a.entries))
+    _check_level(n)
+    det = complex(_lu_dets(n, np.array([x], dtype=float), np.array([alpha]))[0])
     if abs(det) < 1e-12:
         raise SingularityError("Gaussian closed form has a pole at these parameters")
     if n == 1:
@@ -264,15 +247,15 @@ def gaussian_mc(n: int, x, alpha: complex,
     nearest the faces of the unit cube, so the shift means are skewed, and a
     run that misses those points is low with a small spread.
     """
+    x = [float(v) for v in x]
     a = build_A(n, x)
-    norm = math.sqrt(sum(v * v for v in a.x))
-    growth = abs(alpha) * norm
+    growth = abs(alpha) * math.sqrt(_squared_norm(x))
     if growth >= 1.0:
         raise IntegrabilityError(
             f"need |alpha| * |x| < 1 for integrability, got {growth}"
         )
     closed = bargmann_closed(n, x, alpha)
-    size = a.entries.shape[0]
+    size = a.shape[0]
     dim = 2 if n == 1 else 2 * size
     widen = (1.0 + growth) / (1.0 - growth)
     # z = c w with w ~ e^-|w|^2 and c^2 = widen:
@@ -282,7 +265,7 @@ def gaussian_mc(n: int, x, alpha: complex,
     # the quadratic form summed over the nonzero entries of A_n: at these
     # sizes a matrix product costs several times more, and may run
     # multithreaded BLAS
-    terms = [(i, j, a.entries[i, j]) for i, j in zip(*np.nonzero(a.entries))]
+    terms = [(i, j, a[i, j]) for i, j in zip(*np.nonzero(a))]
 
     def integrand(u):
         if n == 1:  # real variables
@@ -306,16 +289,16 @@ def gegenbauer_series_check(n: int, x, alpha: complex, terms: int) -> float:
     e = 1/2 at level 1 and 2^(n-2) at level n >= 2; it converges when
     |alpha| (|x_last| + |x|) < 1.
     """
-    a = build_A(n, x)
+    x = [float(v) for v in x]
     closed = bargmann_closed(n, x, alpha)
     if terms <= 0:
         return abs(closed)
-    norm = math.sqrt(sum(v * v for v in a.x))
+    norm = math.sqrt(_squared_norm(x))
     order = 0.5 if n == 1 else float(1 << (n - 2))
     if norm == 0.0:
         series = 1.0 + 0.0j  # only the constant term survives
     else:
-        arg = a.x[-1] / norm
+        arg = x[-1] / norm
         series = sum(
             (alpha * norm) ** m * c
             for m, c in zip(range(terms), gegenbauer_ladder(order, arg))

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quadrature
-from .errors import IntegrabilityError
 from .specfun import (
     QuantumNumbers,
     gegenbauer,
@@ -60,13 +59,18 @@ __all__ = [
 # generating functions
 # ---------------------------------------------------------------------------
 
+GENFUNC_MAX_TERMS = 600  # cap on the adaptive Gegenbauer series
+BESSEL_GENFUNC_TERMS = 60  # terms of the Bessel-weighted Gegenbauer series
+BESSEL_RATIO_TERMS = 80  # cap on the power series of (w/2)^-nu J_nu(w)
+
+
 class GenFuncCheck(NamedTuple):
     closed: float
     series: float
     residual: float
 
 
-def genfunc_gegenbauer(a: float, t: float, x: float, max_terms: int = 600) -> GenFuncCheck:
+def genfunc_gegenbauer(a: float, t: float, x: float) -> GenFuncCheck:
     """(1 - 2xt + t^2)^-a against its Gegenbauer series, summed adaptively."""
     if abs(t) >= 1.0:
         raise ValueError(f"need |t| < 1, got t={t}")
@@ -75,7 +79,7 @@ def genfunc_gegenbauer(a: float, t: float, x: float, max_terms: int = 600) -> Ge
     closed = (1.0 - 2.0 * x * t + t * t) ** (-a)
     series = 0.0
     small = 0
-    for m, c in zip(range(max_terms), gegenbauer_ladder(a, x)):
+    for m, c in zip(range(GENFUNC_MAX_TERMS), gegenbauer_ladder(a, x)):
         term = t ** m * c
         series += term
         small = small + 1 if abs(term) < 1e-13 * max(1.0, abs(series)) else 0
@@ -90,11 +94,11 @@ class BesselGenFuncCheck(NamedTuple):
     residual: float
 
 
-def _bessel_ratio(nu: float, w: float, terms: int = 80) -> float:
+def _bessel_ratio(nu: float, w: float) -> float:
     # (w/2)^-nu J_nu(w), entire in w^2; plain series is accurate for |w| <~ 30
     h = 0.25 * w * w
     total = 0.0
-    for k in range(terms):
+    for k in range(BESSEL_RATIO_TERMS):
         term = (-h) ** k * math.exp(-math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0))
         total += term
         if k > 4 and abs(term) < 1e-18:
@@ -102,7 +106,7 @@ def _bessel_ratio(nu: float, w: float, terms: int = 80) -> float:
     return total
 
 
-def bessel_genfunc(a: float, z: float, chi: float, terms: int = 60) -> BesselGenFuncCheck:
+def bessel_genfunc(a: float, z: float, chi: float) -> BesselGenFuncCheck:
     """Bessel-weighted Gegenbauer generating function.
 
     lhs = e^(z cos chi) (z sin(chi)/2)^(1/2-a) J_(a-1/2)(z sin chi),
@@ -121,7 +125,7 @@ def bessel_genfunc(a: float, z: float, chi: float, terms: int = 60) -> BesselGen
     lgha = math.lgamma(a + 0.5)
     rhs = sum(
         math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn)) * c * z ** nn
-        for nn, c in zip(range(terms), gegenbauer_ladder(a, math.cos(chi)))
+        for nn, c in zip(range(BESSEL_GENFUNC_TERMS), gegenbauer_ladder(a, math.cos(chi)))
     )
     return BesselGenFuncCheck(lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
@@ -179,9 +183,7 @@ def integral_rep(l: int, alpha: float, chi: float, quad_nodes: int = 200) -> Int
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
     if not 0.0 < chi < math.pi:
         raise ValueError(f"need chi in (0, pi), got {chi}")
-    damp = 1.0 - alpha * math.cos(chi)
-    if damp <= 0.0:
-        raise IntegrabilityError("integral representation needs 1 - alpha cos(chi) > 0")
+    damp = 1.0 - alpha * math.cos(chi)  # > 1 - alpha > 0
     lhs = (1.0 - 2.0 * alpha * math.cos(chi) + alpha * alpha) ** (-(l + 1.0))
     rule = quadrature.gauss_laguerre(quad_nodes, float(l + 1))
     c = alpha * math.sin(chi) / damp

@@ -130,7 +130,6 @@ def ks_integral(
     rule: "quadrature.QuadratureRule | None" = None,
     *,
     method: str = "quadrature",
-    samples: int = quadrature.DEFAULT_SAMPLES,
     seed: int = 42,
 ) -> KSIntegralResult:
     """Integrate a scalar field over R^3 through the 4-space lift.
@@ -142,9 +141,9 @@ def ks_integral(
     method="quadrature": product Gauss-Hermite after factoring e^{-|u|^2};
     the reported error compares against the half-size rule.
     method="mc": the randomly shifted lattice rule of
-    ``quadrature.mc_gaussian``, bit-reproducible for a fixed (seed, samples);
-    ``samples`` is rounded up to whole shifts of the lattice and must exceed
-    one shift.  The reported error is the standard error over the shifts.
+    ``quadrature.mc_gaussian`` with ``quadrature.DEFAULT_SAMPLES`` points,
+    bit-reproducible for a fixed seed.  The reported error is the standard
+    error over the shifts.
     """
     if method == "quadrature":
         base = rule if rule is not None else quadrature.gauss_hermite(28)
@@ -152,7 +151,8 @@ def ks_integral(
         check = _hermite_lift(f, quadrature.gauss_hermite(max(6, len(base.nodes) // 2)))
         return KSIntegralResult(value, abs(value - check), "quadrature")
     if method == "mc":
-        est, err = quadrature.mc_gaussian(4, lambda u: _lifted_values(f, u), samples, seed)
+        est, err = quadrature.mc_gaussian(4, lambda u: _lifted_values(f, u),
+                                          quadrature.DEFAULT_SAMPLES, seed)
         return KSIntegralResult(4.0 * math.pi * est, 4.0 * math.pi * err, "mc")
     raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
 

@@ -259,7 +259,8 @@ def spherical_bessel(l: int, x):
     """Spherical Bessel function j_l(x) for x >= 0.
 
     Uses the power series near zero, upward recurrence where it is stable
-    (x >= l) and Miller's downward recurrence otherwise; j_l(inf) = 0.
+    (x >= l) and Miller's downward recurrence otherwise; j_l(inf) = 0, a NaN
+    stays NaN and a negative x raises ValueError.
     """
     l = _check_order(l, "order")
     x = np.asarray(x, dtype=float)
@@ -268,8 +269,10 @@ def spherical_bessel(l: int, x):
     out = np.empty_like(x)
 
     tiny = x < 1e-3
-    if np.any(tiny):
-        out[tiny] = _bessel_series(l, x[tiny])
+    if np.any(tiny):  # a negative x is tiny too
+        small = x[tiny]
+        _check_nonnegative(small)
+        out[tiny] = _bessel_series(l, small)
     # j_l(x) -> 0 as x -> inf; the recurrences would form sin(inf) / inf
     inf = x == np.inf
     out[inf] = 0.0
@@ -294,12 +297,14 @@ def spherical_bessels(L: int, x) -> np.ndarray:
     One upward pass serves every order l <= x, and one downward loop runs
     the Miller recurrences of the orders l > x side by side, so the table
     costs one recurrence where L + 1 ``spherical_bessel`` calls cost L + 1.
-    Each entry equals ``spherical_bessel(l, x)`` bit for bit.
+    Each entry equals ``spherical_bessel(l, x)`` bit for bit, and a negative
+    x raises ValueError there too.
     """
     L = _check_order(L, "L")
     value = float(x)
     x = np.array([value])
     if value < 1e-3:
+        _check_nonnegative(x)
         return np.array([_bessel_series(l, x)[0] for l in range(L + 1)])
     if value == np.inf:
         return np.zeros(L + 1)
@@ -317,6 +322,12 @@ def _check_order(l, name: str) -> int:
     if l < 0 or l != int(l):
         raise ValueError(f"{name} must be a nonnegative integer, got {l}")
     return int(l)
+
+
+def _check_nonnegative(x: np.ndarray):
+    # the series and the recurrences hold for x >= 0 only
+    if np.any(x < 0.0):
+        raise ValueError(f"spherical Bessel functions need x >= 0, got {x[x < 0.0][0]}")
 
 
 def _bessel_series(l: int, x):

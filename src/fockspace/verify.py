@@ -144,9 +144,9 @@ def validate_tolerances(overrides: dict | None) -> dict:
     """The tolerance overrides, after checking every key and value.
 
     Raises ValueError naming each key that is not in TOLERANCES and each
-    value that is not a finite number >= 0, so a mistyped override is never
-    silently ignored and a NaN, negative or infinite one never decides a
-    verdict.
+    value that is not a finite real number >= 0, so a mistyped override is
+    never silently ignored and a NaN, negative, infinite, non-real or bool
+    one never decides a verdict.
     """
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(TOLERANCES))
@@ -155,7 +155,9 @@ def validate_tolerances(overrides: dict | None) -> dict:
             f"unknown tolerance key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(TOLERANCES))}"
         )
-    bad = sorted(k for k, v in overrides.items() if not (math.isfinite(v) and v >= 0.0))
+    bad = sorted(k for k, v in overrides.items()
+                 if isinstance(v, bool) or not isinstance(v, numbers.Real)
+                 or not (math.isfinite(v) and v >= 0.0))
     if bad:
         raise ValueError(
             "tolerance values must be finite and >= 0, got "
@@ -356,7 +358,10 @@ class _Recorder:
         self.case(case_id, params, residual, 0.0, key, residual=residual)
 
     def measure(self, discrepancy_id: str, **values):
-        """Set the measured values of one discrepancy-registry entry."""
+        """Set the measured values of one discrepancy-registry entry; an id
+        not in the registry raises ValueError, so a typo fails the suite."""
+        if discrepancy_id not in discrepancy_registry():
+            raise ValueError(f"unknown discrepancy id {discrepancy_id!r}")
         self.measured[discrepancy_id] = values
 
     def error(self, suite: str, exc: Exception, depth: int = -1):
@@ -695,9 +700,9 @@ def suite_clifford(rec, seed, nodes):
 
         x = rng.normal(size=len(gam))
         y = rng.normal(size=len(gam))
-        ax = clifford.build_A(n, x).entries
-        ay = clifford.build_A(n, y).entries
-        axy = clifford.build_A(n, x + y).entries
+        ax = clifford.build_A(n, x)
+        ay = clifford.build_A(n, y)
+        axy = clifford.build_A(n, x + y)
         lin = 0.0 if np.array_equal(axy, ax + ay) else float(np.max(np.abs(axy - (ax + ay))))
         rec.residual(f"linearity[n={n}]", {"n": n}, lin, "linearity")
         normality = float(np.max(np.abs(
@@ -709,7 +714,7 @@ def suite_clifford(rec, seed, nodes):
     # printed low-level matrices: level 2 matches entrywise, level 3 only
     # structurally (same normality and determinant identity)
     x4 = rng.normal(size=4)
-    a2 = clifford.build_A(2, x4).entries
+    a2 = clifford.build_A(2, x4)
     printed2 = np.array([
         [x4[3] + 1j * x4[2], x4[1] + 1j * x4[0]],
         [-x4[1] + 1j * x4[0], x4[3] - 1j * x4[2]],
@@ -727,7 +732,7 @@ def suite_clifford(rec, seed, nodes):
     detp = complex(np.linalg.det(np.eye(4) - alpha * p3))
     closed = complex(1.0 - 2.0 * alpha * x6[5] + alpha ** 2 * float(x6 @ x6)) ** 2
     rec.case("level3_printed_det[printed]", {"alpha": alpha}, detp, closed, "det_identity")
-    mismatch = float(np.max(np.abs(clifford.build_A(3, x6).entries - p3)))
+    mismatch = float(np.max(np.abs(clifford.build_A(3, x6) - p3)))
     rec.measure("level3-entrywise-variant", max_entry_difference=mismatch,
                 printed_det_identity_residual=abs(detp - closed) / abs(closed))
 

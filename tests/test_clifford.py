@@ -1,5 +1,6 @@
 """Anticommuting matrix family, determinant identities, Gaussian integrals."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -13,21 +14,21 @@ from fockspace.specfun import gegenbauer
 
 def test_matrix_sizes():
     assert [cl.matrix_size(n) for n in range(1, 7)] == [1, 2, 4, 8, 16, 32]
-    assert cl.build_A(1, (1, 2, 3)).entries.shape == (2, 2)
+    assert cl.build_A(1, (1, 2, 3)).shape == (2, 2)
     for n in range(2, 7):
-        assert cl.build_A(n, np.ones(2 * n)).entries.shape == (2 ** (n - 1),) * 2
+        assert cl.build_A(n, np.ones(2 * n)).shape == (2 ** (n - 1),) * 2
 
 
 def test_level1_entries():
     x1, x2, x3 = 0.3, -0.7, 0.2
-    a = cl.build_A(1, (x1, x2, x3)).entries
+    a = cl.build_A(1, (x1, x2, x3))
     want = np.array([[x3 + 1j * x2, 1j * x1], [1j * x1, x3 - 1j * x2]])
     assert np.array_equal(a, want)
 
 
 def test_level2_matches_printed_form():
     x = (0.4, -1.2, 0.9, 0.1)
-    a = cl.build_A(2, x).entries
+    a = cl.build_A(2, x)
     want = np.array([
         [x[3] + 1j * x[2], x[1] + 1j * x[0]],
         [-x[1] + 1j * x[0], x[3] - 1j * x[2]],
@@ -36,7 +37,7 @@ def test_level2_matches_printed_form():
 
 
 def test_level2_identity_direction():
-    a = cl.build_A(2, (0, 0, 0, 1)).entries
+    a = cl.build_A(2, (0, 0, 0, 1))
     assert np.array_equal(a, np.eye(2))
 
 
@@ -47,7 +48,7 @@ def test_level3_printed_variant_is_not_the_recursion():
     from fockspace.verify import _printed_level3
 
     x = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7])
-    ours = cl.build_A(3, x).entries
+    ours = cl.build_A(3, x)
     printed = _printed_level3(x)
     assert np.max(np.abs(ours - printed)) > 0.1  # genuinely different matrices
     x2 = float(x @ x)
@@ -84,12 +85,14 @@ def test_relation_residual():
 def test_gammas_are_read_only():
     # every caller shares the cached Gammas: a write would corrupt them all
     x = np.random.default_rng(5).normal(size=6)
-    want = cl.build_A(3, x).entries
+    want = cl.build_A(3, x)
     for n in range(1, 7):
         for g in cl.gammas(n):
             with pytest.raises(ValueError, match="read-only"):
                 g[0, 0] = 5
-    assert np.array_equal(cl.build_A(3, x).entries, want)
+            with pytest.raises(ValueError):  # nor can the flag be turned back
+                g.setflags(write=True)
+    assert np.array_equal(cl.build_A(3, x), want)
 
 
 def test_gamma3_of_level2():
@@ -102,7 +105,7 @@ def test_build_A_is_gamma_linear():
     for n in range(1, 7):
         npar = 3 if n == 1 else 2 * n
         x = rng.normal(size=npar)
-        a = cl.build_A(n, x).entries
+        a = cl.build_A(n, x)
         lin = sum(v * g for v, g in zip(x, cl.gammas(n)))
         assert np.array_equal(a, lin)
 
@@ -112,8 +115,8 @@ def test_build_A_linearity_in_parameters():
     for n in (1, 3, 5):
         npar = 3 if n == 1 else 2 * n
         x, y = rng.normal(size=npar), rng.normal(size=npar)
-        axy = cl.build_A(n, x + y).entries
-        assert np.array_equal(axy, cl.build_A(n, x).entries + cl.build_A(n, y).entries)
+        axy = cl.build_A(n, x + y)
+        assert np.array_equal(axy, cl.build_A(n, x) + cl.build_A(n, y))
 
 
 def test_build_A_rejects_wrong_parameter_count():
@@ -130,7 +133,7 @@ def test_normality_identity():
     for n in range(1, 7):
         npar = 3 if n == 1 else 2 * n
         x = rng.normal(size=npar)
-        a = cl.build_A(n, x).entries
+        a = cl.build_A(n, x)
         x2 = float(x @ x)
         assert np.max(np.abs(a @ a.conj().T - x2 * np.eye(a.shape[0]))) < 1e-12 * x2
 
@@ -266,7 +269,7 @@ def test_gaussian_mc_pairs_each_point_with_itself(n, x, alpha, monkeypatch):
     # real and the imaginary parts of z are the two halves of that row.  The
     # row is widened by c^2 = (1 + g)/(1 - g), g = |alpha| |x|, and weighted
     # by the ratio of the Gaussian densities.
-    a = cl.build_A(n, x).entries
+    a = cl.build_A(n, x)
     size = a.shape[0]
     g = abs(alpha) * math.sqrt(sum(v * v for v in x))
     c2 = (1 + g) / (1 - g)
@@ -329,6 +332,39 @@ def test_recursive_entries_are_bit_identical_to_the_block_assembly(n):
         assert got.tobytes() == want.tobytes(), x
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gammas_are_the_recursion_at_unit_vectors(n):
+    gam = cl.gammas(n)
+    assert len(gam) == 2 * n
+    for i, g in enumerate(gam):
+        assert np.array_equal(g, _block_assembled_entries(n, np.eye(2 * n)[i]))
+
+
+def test_build_A_is_a_read_only_array():
+    for n, x in ((1, (0.3, -0.7, 0.2)), (3, np.arange(6.0))):
+        a = cl.build_A(n, x)
+        assert type(a) is np.ndarray and a.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 5
+
+
+@pytest.mark.parametrize("n,x,alpha", [
+    (1, (0.1, 0.2, 0.6), 0.3),
+    (1, (0.5, -0.3, 0.2), 0.2 - 0.1j),
+    (2, (0.0, 0.0, 0.0, 1.0), 0.3),
+    (2, (0.4, -1.2, 0.9, 0.1), 0.17),
+    (3, (0.1, -0.2, 0.15, 0.05, 0.3, 0.4), 0.2),
+    (3, (0.10, 0.05, -0.10, 0.20, 0.10, 0.30), 0.1 + 0.05j),
+])
+def test_bargmann_closed_is_the_one_matrix_lu(n, x, alpha):
+    # the stacked LU of one row gives the bits of one matrix's LU
+    a = cl.build_A(n, x)
+    det = complex(np.linalg.det(np.eye(a.shape[0]) - alpha * a))
+    want = 1.0 / cmath.sqrt(det) if n == 1 else 1.0 / det
+    got = cl.bargmann_closed(n, x, alpha)
+    assert np.array([got]).view(np.int64).tolist() == np.array([want]).view(np.int64).tolist()
+
+
 def test_gaussian_mc_integrability_guard():
     with pytest.raises(IntegrabilityError):
         cl.gaussian_mc(2, (0, 0, 0, 2.0), 0.6, samples=2 * N)
@@ -356,7 +392,7 @@ def test_gegenbauer_series_equals_per_term_sum():
     for n, size in ((1, 3), (2, 4), (3, 6)):
         for _ in range(3):
             x = 0.3 * rng.normal(size=size)
-            params = cl.build_A(n, x).x
+            params = x.tolist()
             norm = math.sqrt(sum(v * v for v in params))
             order = 0.5 if n == 1 else float(1 << (n - 2))
             for alpha, terms in ((0.4, 60), (0.3 + 0.1j, 7), (0.2, 1)):

@@ -50,11 +50,12 @@ def genfunc_reference(a, t, x, max_terms=600):
 
 
 @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.5, 7.0])
-def test_genfunc_gegenbauer_equals_per_term_series(a):
+def test_genfunc_gegenbauer_equals_per_term_series(a, monkeypatch):
     for t in (-0.5, 0.0, 0.1, 0.45, 0.8):
         for x in (-1.0, -0.3, 0.0, 0.77, 1.0):
             assert tuple(idn.genfunc_gegenbauer(a, t, x)) == genfunc_reference(a, t, x)
-    assert tuple(idn.genfunc_gegenbauer(a, 0.6, 0.2, max_terms=7)) == genfunc_reference(
+    monkeypatch.setattr(idn, "GENFUNC_MAX_TERMS", 7)
+    assert tuple(idn.genfunc_gegenbauer(a, 0.6, 0.2)) == genfunc_reference(
         a, 0.6, 0.2, max_terms=7)
 
 
@@ -92,12 +93,13 @@ def test_bessel_genfunc_agreement(a, z, chi, tol):
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
-def test_bessel_genfunc_equals_per_term_series(a):
+def test_bessel_genfunc_equals_per_term_series(a, monkeypatch):
     lg2a, lgha = math.lgamma(2.0 * a), math.lgamma(a + 0.5)
     for z in (0.0, 0.5, 3.0):
         for chi in (0.0, 0.4, 1.7, math.pi):
             for terms in (0, 1, 20, 60):
-                chk = idn.bessel_genfunc(a, z, chi, terms=terms)
+                monkeypatch.setattr(idn, "BESSEL_GENFUNC_TERMS", terms)
+                chk = idn.bessel_genfunc(a, z, chi)
                 rhs = sum(
                     math.exp(lg2a - lgha - math.lgamma(2.0 * a + nn))
                     * sf.gegenbauer(nn, a, math.cos(chi)) * z ** nn

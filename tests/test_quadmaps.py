@@ -166,7 +166,7 @@ def _whole_slab_hermite_lift(f, rule):
 
 
 @pytest.mark.parametrize("f", [exp_decay, ball_indicator])
-def test_ks_integral_blocks_match_the_whole_mesh(f):
+def test_ks_integral_blocks_match_the_whole_mesh(f, monkeypatch):
     # 13^4 and 28^4 mesh points are not multiples of the block; only the
     # summation order differs from the whole-slab lift
     for npts in (13, 28):
@@ -175,8 +175,10 @@ def test_ks_integral_blocks_match_the_whole_mesh(f):
         assert qm._hermite_lift(f, rule) == pytest.approx(want, rel=1e-13, abs=1e-15)
     # the lattice rule uses whole shifts only: an odd sample count rounds up
     # to the next whole shift
-    odd = qm.ks_integral(f, method="mc", samples=2 * N - 4321, seed=6)
-    assert odd == qm.ks_integral(f, method="mc", samples=2 * N, seed=6)
+    monkeypatch.setattr(qr, "DEFAULT_SAMPLES", 2 * N - 4321)
+    odd = qm.ks_integral(f, method="mc", seed=6)
+    monkeypatch.setattr(qr, "DEFAULT_SAMPLES", 2 * N)
+    assert odd == qm.ks_integral(f, method="mc", seed=6)
 
 
 def test_hermite_lift_working_set_is_bounded():

@@ -336,6 +336,23 @@ def test_bessel_at_infinity_is_zero():
     assert got[1] == sf.spherical_bessel(3, 1e300) and got[2] == sf.spherical_bessel(3, 2.0)
 
 
+def test_bessel_refuses_negative_x():
+    # j_0(-5) = sin 5 / 5 = -0.1918; the small-argument series gave 2.0417
+    for x in (-5.0, -1e-300, -math.inf, [1.0, -5.0, 2.0], np.array([-1e-4])):
+        with pytest.raises(ValueError, match="need x >= 0"):
+            sf.spherical_bessel(0, x)
+    for x in (-5.0, -1e-300, -math.inf, np.float64(-5.0), np.array(-5.0)):
+        with pytest.raises(ValueError, match="need x >= 0"):
+            sf.spherical_bessels(2, x)
+    # -0.0 is zero, NaN stays NaN and inf still gives 0
+    assert sf.spherical_bessel(0, -0.0) == 1.0 and sf.spherical_bessels(2, -0.0)[0] == 1.0
+    assert math.isnan(sf.spherical_bessel(1, math.nan))
+    got = sf.spherical_bessel(1, [math.nan, math.inf, 0.5])
+    assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == sf.spherical_bessel(1, 0.5)
+    assert np.all(np.isnan(sf.spherical_bessels(2, math.nan)))
+    assert np.array_equal(sf.spherical_bessels(2, np.array(math.inf)), np.zeros(3))
+
+
 def test_spherical_angles_where_the_squared_norm_overflows():
     assert sf.spherical_angles((0.0, 0.0, 1e200)) == (1e200, 0.0, 0.0)
     r, theta, phi = sf.spherical_angles((1e200, 1e200, 1e200))

@@ -105,7 +105,7 @@ def test_all_case_ids_and_discrepancy_order(pooled_report):
             == list(verify.discrepancy_registry()))
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "1e-3", None, 1 + 0j, True])
 def test_bad_tolerance_value_rejected(value):
     with pytest.raises(ValueError, match="finite and >= 0"):
         verify.run_verify("maps", seed=42, tols={"ks_integral": value})
@@ -137,6 +137,21 @@ def test_negative_seed_rejected_before_any_suite_body(monkeypatch):
 def test_huge_seed_runs():
     report = verify.run_verify("maps", seed=10 ** 23)
     assert report.all_passed and report.seed == 10 ** 23
+
+
+def test_mistyped_discrepancy_id_fails_the_suite():
+    with pytest.raises(ValueError, match="unknown discrepancy id 'momentum-phase-ill'"):
+        verify._Recorder(None).measure("momentum-phase-ill", x=1)
+
+    @verify._suite("typo")
+    def suite_typo(rec, seed, nodes):
+        rec.measure("momentum-phase-il", pattern="(-1)^l")
+        rec.measure("momentum-phase-ill", x=1)
+
+    cases, discrepancies = suite_typo(seed=42)
+    assert [c["id"] for c in cases] == ["suite_error[typo]"]
+    assert cases[0]["params"]["error"] == "ValueError" and not cases[0]["passed"]
+    assert [d["id"] for d in discrepancies] == ["momentum-phase-il"]
 
 
 def _reject_constant(name):
@@ -258,7 +273,7 @@ def test_stacked_det_sweep_is_the_per_draw_det_identity(seed, pooled_report):
         assert case["params"] == {"n": n, "alpha": alpha}
         res = clifford.det_identity(n, x, alpha)
         # the loop reference: one matrix, one LU and the closed form per draw
-        a = clifford.build_A(n, x).entries
+        a = clifford.build_A(n, x)
         value = complex(np.linalg.det(np.eye(a.shape[0]) - alpha * a))
         base = 1.0 - 2.0 * alpha * float(x[-1]) + alpha ** 2 * sum(v * v for v in map(float, x))
         closed = complex(base) ** (1 if n == 1 else 1 << (n - 2))
