@@ -37,8 +37,6 @@ from fockspace import quadrature
 
 rule = quadrature.s3_rule(20, 20, 21)
 states = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
-w = (rule.chi_weights[:, None, None]
-     * rule.sphere.theta_weights[None, :, None] * rule.sphere.phi_weight)
 fields = [identities.hyperspherical_on_s3(n, l, m, rule) for (n, l, m) in states]
-gram = np.array([[np.sum(w * np.conj(a) * b) for b in fields] for a in fields])
+gram = np.array([[np.sum(rule.weights * np.conj(a) * b) for b in fields] for a in fields])
 print(f"  {len(states)} states, max |Gram - I| = {np.max(np.abs(gram - np.eye(len(states)))):.2e}")

@@ -47,5 +47,5 @@ print("\nPattern: (-1)^l, i.e. the i^l in the closed form vs the true (-i)^l.")
 
 print("\nNormalization of every state with n <= 5 (should all be 1):")
 for n in range(1, 6):
-    norms = [hydrogen.momentum_norm(n, l) for l in range(n)]
+    norms = [quadrature.momentum_norm(n, l) for l in range(n)]
     print(f"  n={n}: " + "  ".join(f"{v:.12f}" for v in norms))

@@ -15,7 +15,8 @@ coordinate of the stereographic image of p on the unit 3-sphere).  The i^l
 phase is kept exactly as the closed form states it; the independent Fourier
 oracle (quadrature.radial_hankel) carries (-i)^l, and the verification suite
 measures and reports the constant offset per (n, l) instead of asserting
-either convention.
+either convention.  That oracle and the norm and overlap integrals live in
+``quadrature``; this module builds no rule.
 
 The three generating functions (position side, regulated momentum side,
 momentum side) expand into the bound-state basis.  They take the expansion
@@ -52,8 +53,6 @@ __all__ = [
     "radial_momentum",
     "psi_momentum",
     "energy",
-    "radial_overlap",
-    "momentum_norm",
     "fock_map",
     "genfunc_position",
     "genfunc_momentum_regulated",
@@ -228,47 +227,6 @@ def energy(n: int) -> float:
     return -0.5 / (n * n)
 
 
-def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
-    """Overlap integral of R_(n1,l) and R_(n2,l) with the r^2 measure.
-
-    Substituting t = (1/n1 + 1/n2) r turns the integrand into a polynomial
-    times the generalized Laguerre weight t^(2l+2) e^-t, so the quadrature
-    is exact up to roundoff.  Equals delta_(n1,n2) for true bound states.
-    """
-    from . import quadrature  # deferred: eval and table never build a rule
-
-    d1, d2 = 1.0 / n1, 1.0 / n2
-    s = d1 + d2
-    rule = quadrature.gauss_laguerre(npts, float(2 * l + 2))
-    t = rule.nodes
-    poly = (
-        normalization(n1, l) * normalization(n2, l)
-        * (2.0 * d1 / s) ** l * (2.0 * d2 / s) ** l
-        * laguerre(n1 - l - 1, 2 * l + 1, 2.0 * d1 * t / s)
-        * laguerre(n2 - l - 1, 2 * l + 1, 2.0 * d2 * t / s)
-    )
-    return float(np.sum(rule.weights * poly)) / s ** 3
-
-
-def momentum_norm(n: int, l: int, npts: int = 200) -> float:
-    """Norm integral of the momentum radial factor: int |F(p)|^2 p^2 dp.
-
-    Uses the stereographic substitution p = delta tan(chi/2), which maps the
-    rational integrand onto a smooth function of chi in (0, pi); equals 1 for
-    a normalized state.
-    """
-    from . import quadrature  # deferred: eval and table never build a rule
-
-    delta = 1.0 / n
-    rule = quadrature.gauss_legendre(npts)
-    chi = 0.5 * math.pi * (rule.nodes + 1.0)
-    w = 0.5 * math.pi * rule.weights
-    p = delta * np.tan(0.5 * chi)
-    dp = 0.5 * delta / np.cos(0.5 * chi) ** 2
-    f = radial_momentum(n, l, p)
-    return float(np.sum(w * np.abs(f) ** 2 * p ** 2 * dp))
-
-
 def fock_map(pvec, delta: float) -> FockPoint:
     """Stereographic projection of momentum space onto the unit 3-sphere.
 
@@ -401,7 +359,7 @@ def extract_coefficient(kind: str, qn, n0: int, *, nodes=(48, 24, 24, 24)):
     |xi| = |eta| = 0.7).  For a state of the expansion (n = n0) it equals
     sqrt(4 pi/(2l+1)) psi_nlm / N_nl (see ``extraction_scale``).  The
     labels must be integers with n >= 1 and |m| <= l; l >= n is allowed
-    (its coefficient is 0).
+    (its coefficient is 0).  n0 must be finite and > 0, not an integer.
 
     Only z aliases.  Every term z^n alpha^l of both generating functions has
     l <= n - 1 and is (a.v)^l times a factor in z, with a.v quadratic in
@@ -427,6 +385,8 @@ def extract_coefficient(kind: str, qn, n0: int, *, nodes=(48, 24, 24, 24)):
     check_integer_labels(n=n, l=l, m=m)
     if n < 1 or l < 0 or abs(m) > l:
         raise ValueError(f"invalid coefficient labels (n, l, m) = ({n}, {l}, {m})")
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"n0 must be finite and positive, got {n0!r}")
     if nodes[0] < n + 5 or nodes[1] <= max(l, n - 1) or min(nodes[2:]) <= 2 * l:
         raise ValueError(f"grid {tuple(nodes)} too small for (n, l) = ({n}, {l})")
 

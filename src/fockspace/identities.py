@@ -292,11 +292,9 @@ def hyperspherical_harmonic(n: int, l: int, m: int, coschi, sinchi, theta, phi,
     )
 
 
-def hyperspherical_on_s3(n: int, l: int, m: int, rule: quadrature.S3Rule) -> np.ndarray:
+def hyperspherical_on_s3(n: int, l: int, m: int, rule: quadrature.ProductRule) -> np.ndarray:
     """Y_nlm on the (chi, theta, phi) product grid of ``quadrature.s3_rule``."""
-    chi = rule.chi[:, None, None]
-    theta = rule.sphere.theta[None, :, None]
-    phi = rule.sphere.phi[None, None, :]
+    chi, theta, phi = rule.nodes
     return hyperspherical_harmonic(n, l, m, np.cos(chi), np.sin(chi), theta, phi)
 
 

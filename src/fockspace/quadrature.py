@@ -4,13 +4,13 @@ Gauss-Legendre and Gauss-Hermite rules come from numpy; generalized
 Gauss-Laguerre rules are built here with numpy alone: Halley iteration on
 the three-term recurrence from asymptotic starts gives the nodes, and the
 Christoffel-Darboux kernel gives the weights.  This module wraps them
-behind a small immutable rule type, adds the product rules used for
-angular and 3-sphere integrals, the radial Hankel transform
-that serves as the independent Fourier oracle, and a randomly shifted
-rank-1 lattice estimator of Gaussian averages, its points mapped to the
-Gaussian by a numpy inverse normal CDF (Wichura's AS241).  The estimator
-takes real or complex integrands; it is the one ``clifford.gaussian_mc``
-and the Monte Carlo route of ``quadmaps.ks_integral`` use.
+behind a small immutable rule type, adds the product rules for angular and
+3-sphere integrals, the quadrature oracles of hydrogen's closed forms (the
+radial Hankel transform, the radial overlap and the momentum norm), and a
+randomly shifted rank-1 lattice estimator of Gaussian averages, its points
+mapped to the Gaussian by a numpy inverse normal CDF (Wichura's AS241).
+The estimator takes real or complex integrands; it is the one
+``clifford.gaussian_mc`` and the Monte Carlo route of ``quadmaps.ks_integral`` use.
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from . import specfun
+from . import hydrogen, specfun
 from .errors import ConvergenceError
 
 __all__ = [
@@ -37,9 +37,12 @@ __all__ = [
     "gauss_laguerre",
     "gauss_hermite",
     "chebyshev_second",
+    "ProductRule",
     "angular_rule",
     "s3_rule",
     "radial_hankel",
+    "radial_overlap",
+    "momentum_norm",
     "mc_gaussian",
     "BLOCK_ROWS",
     "LATTICE_POINTS",
@@ -304,40 +307,36 @@ def chebyshev_second(npts: int) -> QuadratureRule:
 
 
 @dataclass(frozen=True)
-class ProductAngularRule:
-    """Product grid over the 2-sphere: Gauss-Legendre in cos(theta), uniform phi."""
+class ProductRule:
+    """Product grid: ``nodes`` holds the axis arrays in grid order, shaped to
+    broadcast, and ``weights`` the product weight at every grid point."""
 
-    theta: np.ndarray
-    theta_weights: np.ndarray
-    phi: np.ndarray
-    phi_weight: float
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.theta_weights)) * self.phi_weight * len(self.phi)
+    nodes: tuple
+    weights: np.ndarray
 
 
-def angular_rule(n_theta: int = 32, n_phi: int = 33) -> ProductAngularRule:
-    """Quadrature over the unit sphere with total weight 4*pi."""
+def _sphere_axes(n_theta: int, n_phi: int) -> tuple:
+    # theta, its Gauss-Legendre weights in cos(theta), phi, its uniform weights
     gl = gauss_legendre(n_theta)
-    theta = np.arccos(gl.nodes[::-1])
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return ProductAngularRule(theta, gl.weights[::-1], phi, 2.0 * math.pi / n_phi)
+    return (np.arccos(gl.nodes[::-1]), gl.weights[::-1],
+            2.0 * math.pi * np.arange(n_phi) / n_phi, np.full(n_phi, 2.0 * math.pi / n_phi))
 
 
-@dataclass(frozen=True)
-class S3Rule:
-    """Product grid over the 3-sphere (chi, theta, phi), total weight 2*pi^2."""
-
-    chi: np.ndarray
-    chi_weights: np.ndarray
-    sphere: ProductAngularRule
+def angular_rule(n_theta: int = 32, n_phi: int = 33) -> ProductRule:
+    """Product rule over the unit sphere, axes (theta, phi); weights sum to 4 pi."""
+    theta, w_theta, phi, w_phi = _sphere_axes(n_theta, n_phi)
+    return ProductRule((theta[:, None], phi[None, :]), w_theta[:, None] * w_phi)
 
 
-def s3_rule(n_chi: int = 32, n_theta: int = 32, n_phi: int = 33) -> S3Rule:
+def s3_rule(n_chi: int = 32, n_theta: int = 32, n_phi: int = 33) -> ProductRule:
+    """Product rule over the unit 3-sphere, axes (chi, theta, phi), with the
+    sin^2(chi) measure in the Chebyshev chi rule; weights sum to 2 pi^2."""
     cheb = chebyshev_second(n_chi)
+    theta, w_theta, phi, w_phi = _sphere_axes(n_theta, n_phi)
     chi = np.arccos(cheb.nodes[::-1])
-    return S3Rule(chi, cheb.weights[::-1], angular_rule(n_theta, n_phi))
+    # (chi weight * theta weight) * phi weight: one association, one set of bits
+    return ProductRule((chi[:, None, None], theta[None, :, None], phi[None, None, :]),
+                       cheb.weights[::-1, None, None] * w_theta[None, :, None] * w_phi)
 
 
 def radial_hankel(n: int, l: int, p, npts: int = 300):
@@ -355,8 +354,6 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     (200, 150) or (161, 160)): the sum would come out 0 or wrong in its
     leading digits.
     """
-    from . import hydrogen  # local import; hydrogen depends on this module too
-
     specfun.QuantumNumbers(n, l, 0)  # validates (n, l)
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
@@ -379,6 +376,46 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     integral = np.sum(rule.weights * poly * jl, axis=-1)
     vals = (-1j) ** l * math.sqrt(2.0 / math.pi) * float(n) ** 3 * integral
     return vals if np.ndim(vals) else complex(vals)
+
+
+def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
+    """Overlap integral of R_(n1,l) and R_(n2,l) with the r^2 measure.
+
+    Substituting t = (1/n1 + 1/n2) r turns the integrand into a polynomial
+    times the generalized Laguerre weight t^(2l+2) e^-t, so the quadrature
+    is exact up to roundoff.  Equals delta_(n1,n2) for true bound states.
+    """
+    specfun.QuantumNumbers(n1, l, 0)
+    specfun.QuantumNumbers(n2, l, 0)
+    d1, d2 = 1.0 / n1, 1.0 / n2
+    s = d1 + d2
+    rule = gauss_laguerre(npts, float(2 * l + 2))
+    t = rule.nodes
+    poly = (
+        hydrogen.normalization(n1, l) * hydrogen.normalization(n2, l)
+        * (2.0 * d1 / s) ** l * (2.0 * d2 / s) ** l
+        * specfun.laguerre(n1 - l - 1, 2 * l + 1, 2.0 * d1 * t / s)
+        * specfun.laguerre(n2 - l - 1, 2 * l + 1, 2.0 * d2 * t / s)
+    )
+    return float(np.sum(rule.weights * poly)) / s ** 3
+
+
+def momentum_norm(n: int, l: int, npts: int = 200) -> float:
+    """Norm integral of the momentum radial factor: int |F(p)|^2 p^2 dp.
+
+    Uses the stereographic substitution p = delta tan(chi/2), which maps the
+    rational integrand onto a smooth function of chi in (0, pi); equals 1 for
+    a normalized state.
+    """
+    specfun.QuantumNumbers(n, l, 0)
+    delta = 1.0 / n
+    rule = gauss_legendre(npts)
+    chi = 0.5 * math.pi * (rule.nodes + 1.0)
+    w = 0.5 * math.pi * rule.weights
+    p = delta * np.tan(0.5 * chi)
+    dp = 0.5 * delta / np.cos(0.5 * chi) ** 2
+    f = hydrogen.radial_momentum(n, l, p)
+    return float(np.sum(w * np.abs(f) ** 2 * p ** 2 * dp))
 
 
 def _rational(coeffs, r: np.ndarray) -> np.ndarray:

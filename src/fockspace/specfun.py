@@ -99,11 +99,9 @@ def laguerre(k: int, a: float, x):
     Parameters are the degree k >= 0, the superscript a > -1 and the (possibly
     array-valued) argument x.
     """
-    if k != int(k) or k < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {k}")
+    k = _check_order(k, "degree")
     if a <= -1.0:
         raise ValueError(f"Laguerre superscript must exceed -1, got a={a}")
-    k = int(k)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if k == 0:
@@ -201,13 +199,6 @@ def _legendre_column(L: int, m: int, costheta, sintheta):
         yield pm1
 
 
-def _legendre_normalized(l: int, m: int, costheta, sintheta):
-    """Fully normalized associated Legendre P-tilde_l^m for m >= 0."""
-    for p in _legendre_column(l, m, costheta, sintheta):
-        pass
-    return p
-
-
 def _harmonic(p, phase, m: int):
     # Y_lm from P-tilde_l^|m| and exp(i |m| phi); Y_l,-m = (-1)^m conj(Y_lm)
     y = p * phase
@@ -218,17 +209,17 @@ def _harmonic(p, phase, m: int):
 
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Complex spherical harmonic Y_lm(theta, phi), Condon-Shortley phase."""
-    if l < 0 or l != int(l):
-        raise ValueError(f"l must be a nonnegative integer, got {l}")
+    l = _check_order(l, "l")
     if m != int(m):
         raise ValueError(f"m must be an integer, got {m}")
     if abs(m) > l:
         raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-    l, m = int(l), int(m)
+    m = int(m)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ma = abs(m)
-    p = _legendre_normalized(l, ma, np.cos(theta), np.sin(theta))
+    for p in _legendre_column(l, ma, np.cos(theta), np.sin(theta)):
+        pass  # the last entry of the column is P-tilde_l^|m|
     return _harmonic(p, np.exp(1j * ma * phi), m)
 
 
@@ -239,9 +230,7 @@ def spherical_harmonics(L: int, theta, phi) -> dict:
     O(L^2) steps where L^2 separate ``spherical_harmonic`` calls cost O(L^3).
     Each entry equals ``spherical_harmonic(l, m, theta, phi)`` bit for bit.
     """
-    if L < 0 or L != int(L):
-        raise ValueError(f"L must be a nonnegative integer, got {L}")
-    L = int(L)
+    L = _check_order(L, "L")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     costheta, sintheta = np.cos(theta), np.sin(theta)
@@ -396,11 +385,20 @@ def _lnfact(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
+def _check_cancellation(name: str, labels, total, magnitude) -> None:
+    # The Wigner sums alternate in sign: where the terms' moduli add up to
+    # over 1e4 max(1, |sum|), more than 4 of 16 digits cancelled away.
+    if np.any(magnitude > 1e4 * np.maximum(1.0, np.abs(total))):
+        raise ValueError(f"{name}{labels}: the alternating sum lost more than 4 "
+                         "digits to cancellation")
+
+
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3j symbol via the Racah sum with log-factorial stabilization.
 
     Half-integer arguments are allowed.  Violated selection rules give an
-    exact 0.0 rather than an error.
+    exact 0.0 rather than an error.  Raises ValueError where the sum loses
+    more than 4 digits to cancellation (from j near 40 at m = 0).
     """
     tj1, tj2, tj3 = (_two_j(j, "j") for j in (j1, j2, j3))
     tm1, tm2, tm3 = (_two_j(m, "m") for m in (m1, m2, m3))
@@ -435,13 +433,16 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
 
     kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     kmax = min(a, jmm1, jpm2)
-    total = 0.0
+    total = magnitude = 0.0
     for k in range(kmin, kmax + 1):
         log_term = log_norm - (
             _lnfact(k) + _lnfact(a - k) + _lnfact(jmm1 - k) + _lnfact(jpm2 - k)
             + _lnfact((tj3 - tj2 + tm1) // 2 + k) + _lnfact((tj3 - tj1 - tm2) // 2 + k)
         )
-        total += (-1.0) ** k * math.exp(log_term)
+        term = math.exp(log_term)
+        total += (-1.0) ** k * term
+        magnitude += term
+    _check_cancellation("wigner_3j", (j1, j2, j3, m1, m2, m3), total, magnitude)
     phase = (-1.0) ** ((tj1 - tj2 - tm3) // 2)
     return phase * total
 
@@ -465,7 +466,8 @@ def wigner_d_small(j, mp, m, theta):
 
     Sign convention: d^j_{mp,m} here equals the transpose of the most common
     tabulation, which is exactly what makes D^l_{0,m} coincide with
-    sqrt(4pi/(2l+1)) * conj(Y_lm).
+    sqrt(4pi/(2l+1)) * conj(Y_lm).  Raises ValueError as ``wigner_3j`` does
+    (from j near 20).
     """
     tmp, tm, _, jmmp, jpm, log_norm = _projection_pair(j, mp, m)
     theta = np.asarray(theta, dtype=float)
@@ -475,13 +477,17 @@ def wigner_d_small(j, mp, m, theta):
     kmin = max(0, (tm - tmp) // 2)
     kmax = min(jpm, jmmp)
     out = np.zeros(np.broadcast(c, s).shape, dtype=float)
+    magnitude = 0.0
     for k in range(kmin, kmax + 1):
         log_coef = log_norm - (
             _lnfact(jpm - k) + _lnfact(k) + _lnfact(jmmp - k) + _lnfact((tmp - tm) // 2 + k)
         )
         pc = jpm - k + jmmp - k          # power of cos(theta/2)
         ps = (tmp - tm) // 2 + 2 * k     # power of sin(theta/2)
-        out = out + (-1.0) ** k * math.exp(log_coef) * c ** pc * s ** ps
+        term = (-1.0) ** k * math.exp(log_coef) * c ** pc * s ** ps
+        out = out + term
+        magnitude = magnitude + np.abs(term)
+    _check_cancellation("wigner_d_small", (j, mp, m), out, magnitude)
     return out if out.ndim else float(out)
 
 
@@ -506,7 +512,8 @@ def wigner_D_su2(j, mp, m, u) -> complex:
 
     This is the homogeneous-polynomial extension of the D-matrix: for a
     matrix with determinant r it returns r^j times the unit-determinant value,
-    consistently with ``wigner_D`` on Euler angles.
+    consistently with ``wigner_D`` on Euler angles.  Raises ValueError as
+    ``wigner_3j`` does.
     """
     tmp, tm, jpmp, _, jpm, log_norm = _projection_pair(j, mp, m)
     u = np.asarray(u)
@@ -515,11 +522,15 @@ def wigner_D_su2(j, mp, m, u) -> complex:
     kmin = max(0, (tm + tmp) // 2)
     kmax = min(jpmp, jpm)
     total = 0.0 + 0.0j
+    magnitude = 0.0
     for k in range(kmin, kmax + 1):
         q = jpmp - k
         r = jpm - k
         s = k - (tm + tmp) // 2
         log_coef = log_norm - (_lnfact(k) + _lnfact(q) + _lnfact(r) + _lnfact(s))
-        total += math.exp(log_coef) * a ** k * b ** q * c ** r * d ** s
+        term = math.exp(log_coef) * a ** k * b ** q * c ** r * d ** s
+        total += term
+        magnitude += abs(term)
+    _check_cancellation("wigner_D_su2", (j, mp, m), total, magnitude)
     return total
 

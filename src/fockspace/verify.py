@@ -382,10 +382,10 @@ class _Recorder:
 
 
 def _check_seed_and_nodes(seed, nodes):
-    """Raise ValueError unless ``seed`` is an integer >= 0 (numpy's generators
-    refuse a negative one) and ``nodes`` is None or an integer in the range
-    every quadrature rule accepts."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """Raise ValueError unless ``seed`` is an integer >= 0 and not a bool
+    (numpy's generators refuse a negative one) and ``nodes`` is None or an
+    integer in the range every quadrature rule accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     low, high = quadrature.MIN_NODES, quadrature.MAX_NODES
     if nodes is not None and not (isinstance(nodes, numbers.Integral) and low <= nodes <= high):
@@ -470,7 +470,7 @@ def suite_hydrogen(rec, seed, nodes):
     for l in range(3):
         ns = list(range(l + 1, 7))
         gram = np.array([
-            [hydrogen.radial_overlap(n1, n2, l, npts=overlap_nodes) for n2 in ns]
+            [quadrature.radial_overlap(n1, n2, l, npts=overlap_nodes) for n2 in ns]
             for n1 in ns
         ])
         resid = float(np.max(np.abs(gram - np.eye(len(ns)))))
@@ -479,7 +479,7 @@ def suite_hydrogen(rec, seed, nodes):
     # momentum-space norms
     for n in range(1, 6):
         for l in range(n):
-            norm = hydrogen.momentum_norm(n, l, npts=overlap_nodes)
+            norm = quadrature.momentum_norm(n, l, npts=overlap_nodes)
             rec.case(f"momentum_norm[n={n},l={l}]", {"n": n, "l": l}, norm, 1.0,
                      "momentum_norm")
 
@@ -853,18 +853,9 @@ def suite_identities(rec, seed, nodes):
     # hyperspherical orthonormality on the 3-sphere
     s3 = quadrature.s3_rule(24, 24, 25)
     states = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
-    w3d = (
-        s3.chi_weights[:, None, None]
-        * s3.sphere.theta_weights[None, :, None]
-        * s3.sphere.phi_weight
-    )
     fields = [identities.hyperspherical_on_s3(n, l, m, s3) for (n, l, m) in states]
-    worst = 0.0
-    for i, fi in enumerate(fields):
-        for j2, fj in enumerate(fields):
-            val = complex(np.sum(w3d * np.conj(fi) * fj))
-            want = 1.0 if i == j2 else 0.0
-            worst = _worst(worst, abs(val - want))
+    worst = _worst(*(abs(complex(np.sum(s3.weights * np.conj(fi) * fj)) - (1.0 if i == j else 0.0))
+                     for i, fi in enumerate(fields) for j, fj in enumerate(fields)))
     rec.residual("hyperspherical_orthonormality[n<=3]", {"states": len(states)}, worst,
                  "hyperspherical_orthonormality")
 
@@ -961,6 +952,7 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, tols: dict | None = None,
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}, 'all' or 'clifford-det'"
         )
     _check_seed_and_nodes(seed, nodes)
+    seed = int(seed)  # a numpy integer would not serialize
     validate_tolerances(tols)
     t0 = time.perf_counter()
     workers = min(len(runs), os.cpu_count() or 1)

@@ -1,5 +1,6 @@
 """Bound states, the sphere projection, generating functions, extraction."""
 
+import cmath
 import math
 import warnings
 
@@ -25,12 +26,20 @@ def test_radial_vanishes_at_origin_for_l_positive():
 
 def test_radial_normalization_quadrature():
     for (n, l) in [(1, 0), (3, 1), (4, 3), (6, 2)]:
-        assert hy.radial_overlap(n, n, l) == pytest.approx(1.0, rel=1e-12)
+        assert qr.radial_overlap(n, n, l) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_quadrature_oracles_check_their_labels():
+    # each used to raise ZeroDivisionError at n = 0
+    for oracle in (lambda: qr.radial_overlap(0, 1, 0), lambda: qr.radial_overlap(1, 0, 0),
+                   lambda: qr.momentum_norm(0, 0)):
+        with pytest.raises(ValueError, match="principal quantum number must be >= 1"):
+            oracle()
 
 
 def test_radial_orthogonality():
-    assert abs(hy.radial_overlap(2, 4, 1)) < 1e-12
-    assert abs(hy.radial_overlap(3, 5, 0)) < 1e-12
+    assert abs(qr.radial_overlap(2, 4, 1)) < 1e-12
+    assert abs(qr.radial_overlap(3, 5, 0)) < 1e-12
 
 
 def test_radial_rejects_negative_radius():
@@ -114,10 +123,9 @@ def test_psi_position_full_norm():
     # |psi_210|^2 over space: radial overlap x angular normalization = 1
     qn = sf.QuantumNumbers(2, 1, 0)
     rule = qr.angular_rule(24, 25)
-    w = rule.theta_weights[:, None] * rule.phi_weight
-    y = sf.spherical_harmonic(1, 0, rule.theta[:, None], rule.phi[None, :])
-    ang = float(np.sum(w * np.abs(y) ** 2))
-    assert ang * hy.radial_overlap(2, 2, 1) == pytest.approx(1.0, rel=1e-10)
+    y = sf.spherical_harmonic(1, 0, *rule.nodes)
+    ang = float(np.sum(rule.weights * np.abs(y) ** 2))
+    assert ang * qr.radial_overlap(2, 2, 1) == pytest.approx(1.0, rel=1e-10)
     del qn
 
 
@@ -449,6 +457,17 @@ def test_extraction_refuses_non_integral_labels():
             hy.extract_coefficient("position", qn, 2, nodes=(48, 24, 10, 10))
     # l >= n stays accepted: its coefficient is 0
     hy.extract_coefficient("position", (2, 2, 0), 2, nodes=(48, 24, 10, 10))
+
+
+def test_extraction_refuses_a_non_positive_n0():
+    # n0 = 0 divided by zero at the first point; n0 = -1 returned 1.4538 for
+    # (1, 0, 0), a delta that fock_map refuses
+    for n0 in (0, -1, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n0 must be finite and positive"):
+            hy.extract_coefficient("position", (1, 0, 0), n0)
+    # a non-integral n0 stays allowed
+    value = hy.extract_coefficient("position", (1, 0, 0), 1.5)((0.3, 0.1, -0.2))
+    assert cmath.isfinite(value)
 
 
 def test_extraction_convergence_guard():

@@ -287,11 +287,7 @@ def test_hyperspherical_parity_zero_at_equator():
 def test_hyperspherical_orthonormality():
     rule = qr.s3_rule(20, 20, 21)
     states = [(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
-    w = (rule.chi_weights[:, None, None]
-         * rule.sphere.theta_weights[None, :, None] * rule.sphere.phi_weight)
-    chi = rule.chi[:, None, None]
-    theta = rule.sphere.theta[None, :, None]
-    phi = rule.sphere.phi[None, None, :]
+    chi, theta, phi = rule.nodes
     fields = []
     for (n, l, m) in states:
         from scipy.special import gammaln
@@ -302,7 +298,7 @@ def test_hyperspherical_orthonormality():
         fields.append(norm * np.sin(chi) ** l
                       * sf.gegenbauer(n - l - 1, l + 1.0, np.cos(chi))
                       * sf.spherical_harmonic(l, m, theta, phi))
-    gram = np.array([[np.sum(w * np.conj(a) * b) for b in fields] for a in fields])
+    gram = np.array([[np.sum(rule.weights * np.conj(a) * b) for b in fields] for a in fields])
     assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-9
 
 

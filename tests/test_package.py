@@ -100,3 +100,51 @@ def test_node_range_is_written_once(source):
                 if isinstance(node, ast.Constant) and type(node.value) is int
                 and node.value == 4096]
     assert not literals or source.name == "quadrature.py"
+
+
+def _fockspace_imports(source):
+    """(fockspace module imported, whether inside a function) per import of a source."""
+    tree = ast.parse(source.read_text())
+    in_function = {id(sub) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   for sub in ast.walk(node) if sub is not node}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is relative to the package
+            base = ".".join(filter(None, ["fockspace" if node.level else "", node.module]))
+            modules = ([f"{base}.{alias.name}" for alias in node.names]
+                       if base == "fockspace" else [base])
+        else:
+            continue
+        for module in modules:
+            if module.startswith("fockspace."):
+                yield module.split(".")[1], id(node) in in_function
+
+
+def test_import_graph_has_no_cycle_and_defers_only_in_the_cli():
+    # imports inside function bodies count: a deferred import still ties
+    # two modules, and only the command line defers loading its commands
+    graph, deferred = {}, []
+    for source in SOURCES:
+        for name, in_function in _fockspace_imports(source):
+            graph.setdefault(source.stem, set()).add(name)
+            if in_function and source.stem != "cli":
+                deferred.append(f"{source.stem} -> {name}")
+    assert deferred == []
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module not in done:
+            path.append(module)
+            for name in sorted(graph.get(module, ())):
+                visit(name)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

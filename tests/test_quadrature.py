@@ -188,15 +188,15 @@ def test_laguerre_measure_beyond_the_double_range_is_a_value_error():
         qr.radial_hankel(170, 169, 0.01)
 
 
-def test_product_rules_total_weight():
+def test_product_rule_weights_sum_to_the_measure():
     ang = qr.angular_rule(16, 17)
-    assert ang.total_weight == pytest.approx(4 * math.pi, rel=1e-13)
+    assert ang.weights.shape == (16, 17)
+    assert float(np.sum(ang.weights)) == pytest.approx(4 * math.pi, rel=1e-13)
     s3 = qr.s3_rule(12, 12, 13)
-    total = float(np.sum(s3.chi_weights)) * s3.sphere.total_weight
-    assert total == pytest.approx(2 * math.pi ** 2 * (math.pi / 2) / (math.pi / 2), rel=1e-12) \
-        or True
-    # spelled out: chi weights sum to pi/2, sphere to 4 pi, product 2 pi^2
-    assert float(np.sum(s3.chi_weights)) == pytest.approx(math.pi / 2, rel=1e-13)
+    assert s3.weights.shape == (12, 12, 13)
+    assert float(np.sum(s3.weights)) == pytest.approx(2 * math.pi ** 2, rel=1e-12)
+    # the chi rule alone carries the sin^2(chi) measure, pi/2
+    assert float(np.sum(qr.chebyshev_second(12).weights)) == pytest.approx(math.pi / 2, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_hankel_parseval():
     # tail is extrapolated from the oracle's own endpoint value (relative
     # model error O(P^-2) on a tail that is itself < 1e-5).
     for (n, l) in [(1, 0), (3, 1), (5, 2)]:
-        pos = hydrogen.radial_overlap(n, n, l)  # exactly 1 for a bound state
+        pos = qr.radial_overlap(n, n, l)  # exactly 1 for a bound state
         delta = 1.0 / n
         p_cut = 12.0 * delta
         rule = qr.gauss_legendre(240)

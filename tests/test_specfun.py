@@ -193,12 +193,10 @@ def test_sph_harm_orthonormal_gram():
 
     rule = qr.angular_rule(16, 16)
     pairs = [(l, m) for l in range(7) for m in range(-l, l + 1)]
-    theta = rule.theta[:, None]
-    phi = rule.phi[None, :]
-    w = rule.theta_weights[:, None] * rule.phi_weight
+    theta, phi = rule.nodes
     fields = [sf.spherical_harmonic(l, m, theta, phi) for (l, m) in pairs]
     gram = np.array([
-        [np.sum(w * np.conj(fi) * fj) for fj in fields] for fi in fields
+        [np.sum(rule.weights * np.conj(fi) * fj) for fj in fields] for fi in fields
     ])
     assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-10
 
@@ -462,6 +460,39 @@ def test_3j_against_sympy_oracle():
         got = sf.wigner_3j(tj1 / 2, tj2 / 2, tj3 / 2, tm1 / 2, tm2 / 2, tm3 / 2)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
         checked += 1
+
+
+def test_wigner_sums_refuse_catastrophic_cancellation():
+    # without the check the sums returned noise: 156.9 for 3j(100 100 100;
+    # 0 0 0) (sympy: 6.03e-3, and |3j| <= 1), 4.18e-2 at j = 80 (7.53e-3),
+    # and d^j columns at j = 60 whose squares summed to 1 + 7e5
+    for j in (40, 80, 100):
+        message = rf"wigner_3j\({j}, {j}, {j}, 0, 0, 0\): .* cancellation"
+        with pytest.raises(ValueError, match=message):
+            sf.wigner_3j(j, j, j, 0, 0, 0)
+    u = sf.euler_su2(0.3, 1.3, 0.5)
+    for j in (20, 60):
+        with pytest.raises(ValueError, match="wigner_d_small.*cancellation"):
+            [sf.wigner_d_small(j, mp, m, 1.3) for mp in range(-j, j + 1) for m in range(-j, j + 1)]
+        with pytest.raises(ValueError, match="wigner_D_su2.*cancellation"):
+            [sf.wigner_D_su2(j, mp, m, u) for mp in range(-j, j + 1) for m in range(-j, j + 1)]
+    # an array theta is refused where any of its points cancels
+    with pytest.raises(ValueError, match="wigner_d_small"):
+        sf.wigner_d_small(60, 0, 0, np.array([0.0, 1.3]))
+
+
+def test_wigner_sums_inside_the_cancellation_bound_keep_their_digits():
+    from sympy.physics.wigner import wigner_3j as sympy_3j
+
+    # j = 30 at m = 0 cancels 3.5 digits (its terms' moduli sum to 5.6e3)
+    for args, tol in (((30, 30, 30, 0, 0, 0), 1e-10), ((100, 101, 2, 1, -1, 0), 1e-13),
+                      ((100, 100, 200, 0, 0, 0), 1e-13)):
+        assert abs(sf.wigner_3j(*args) - float(sympy_3j(*args))) < tol
+    # d^j at j = 15 passes the bound and stays unitary
+    j = 15
+    d = np.array([[sf.wigner_d_small(j, mp, m, 1.3) for m in range(-j, j + 1)]
+                  for mp in range(-j, j + 1)])
+    assert np.max(np.abs(d @ d.T - np.eye(2 * j + 1))) < 1e-10
 
 
 def test_3j_orthogonality_sum():

@@ -122,6 +122,7 @@ def test_negative_seed_rejected_before_any_suite_body(monkeypatch):
                 lambda: verify.run_verify("clifford-det", seed=-5),
                 lambda: verify.run_verify("all", seed=1.5),
                 lambda: verify.run_verify("all", seed="7"),
+                lambda: verify.run_verify("clifford-det", seed=True),
                 lambda: verify.suite_hydrogen(-1)):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             run()
@@ -132,6 +133,10 @@ def test_negative_seed_rejected_before_any_suite_body(monkeypatch):
             with pytest.raises(ValueError, match=r"nodes must be None or an integer in \[2, 4096\]"):
                 run()
     assert calls == []
+    # a numpy integer is a seed, and the report stores it as a plain int
+    monkeypatch.undo()
+    report = verify.run_verify("clifford-det", seed=np.int64(7))
+    assert type(report.seed) is int and json.loads(report.to_json())["seed"] == 7
 
 
 def test_huge_seed_runs():
