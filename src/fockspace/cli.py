@@ -5,6 +5,14 @@ errors.  Output is deterministic for identical invocations (including the
 seed), except for the elapsed_ms field of verification reports, which is
 wall time.  CSV uses '.' decimals with 17 significant digits; physical
 quantities are in atomic units.
+
+A command starts numpy's BLAS with one thread unless the user set one of
+``BLAS_THREAD_VARIABLES`` (a variable the user set always wins).  OpenBLAS's
+default pool starts a spin-waiting thread per extra core in every process,
+the forked workers of ``verify all`` included, and costs about a third of a
+short command's CPU.  No command does sizeable BLAS work, ``verify all``
+runs its suites side by side in processes rather than BLAS threads, and
+reports do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +22,16 @@ import cmath
 import contextlib
 import json
 import math
+import os
 import sys
+
+#: The thread counts numpy's BLAS reads when it loads: OpenBLAS's, MKL's, and
+#: OpenMP's, which both fall back to.  With none set, the first two become 1;
+#: a numpy already loaded keeps its pool, so then nothing is written.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES[:2], "1"))
 
 import numpy as np
 
@@ -179,6 +196,8 @@ def _table_rows(args, parser):
     if args.kind == "gegenbauer":
         if args.a is None or args.m is None:
             parser.error("table gegenbauer needs --a and --m")
+        if args.m < 0:
+            parser.error(f"the Gegenbauer degree --m must be >= 0, got {args.m}")
         grid = _parse_grid(args.grid, parser, "table gegenbauer needs --grid")
         try:
             vals = np.atleast_1d(specfun.gegenbauer(args.m, args.a, grid))

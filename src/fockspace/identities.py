@@ -14,6 +14,7 @@ operations evaluate the printed variant alongside the corrected one:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -326,6 +327,22 @@ class TripleDCheck(NamedTuple):
     residual: float
 
 
+# Gauss-Legendre nodes in cos(theta) of triple_D_integral
+_TRIPLE_D_NODES = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _haar_d(j, mp, m) -> np.ndarray:
+    """d^j_(mp,m) at the theta nodes of ``triple_D_integral``, read-only.
+
+    Only (j, j, m1), (j, -j, m2) and (l, 0, m) vary over a sweep of that
+    integral, so each array is built once instead of once per call.
+    """
+    d = wigner_d_small(j, mp, m, np.arccos(quadrature.gauss_legendre(_TRIPLE_D_NODES).nodes))
+    d.setflags(write=False)
+    return d
+
+
 def triple_D_integral(n: int, m1, m2, l: int, m: int) -> TripleDCheck:
     """Haar integral of D^j_(j,m1) D^j_(-j,m2) D^l_(0,m) with j = (n-1)/2.
 
@@ -338,14 +355,8 @@ def triple_D_integral(n: int, m1, m2, l: int, m: int) -> TripleDCheck:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     j = 0.5 * (n - 1)
-    gl = quadrature.gauss_legendre(64)
-    theta = np.arccos(gl.nodes)
-    dprod = (
-        wigner_d_small(j, j, m1, theta)
-        * wigner_d_small(j, -j, m2, theta)
-        * wigner_d_small(l, 0, m, theta)
-    )
-    theta_part = float(np.sum(gl.weights * dprod))
+    dprod = _haar_d(j, j, m1) * _haar_d(j, -j, m2) * _haar_d(l, 0, m)
+    theta_part = float(np.sum(quadrature.gauss_legendre(_TRIPLE_D_NODES).weights * dprod))
     phi = 2.0 * math.pi * np.arange(32) / 32
     mtot = m1 + m2 + m
     phi_part = complex(np.sum(np.exp(-1j * mtot * phi))) * 2.0 * math.pi / 32

@@ -61,7 +61,10 @@ def test_eval_json_format():
     ("table", "radial", "--n", "1", "--l", "3", "--grid", "0", "1", "3"),
     ("table", "radial", "--n", "0", "--l", "0", "--grid", "0", "1", "3"),
     ("table", "momentum-radial", "--n", "2", "--l", "5", "--grid", "0", "1", "3"),
-], ids=["eval", "table-radial-l", "table-radial-n", "table-momentum-radial"])
+    # C_-1 = 0 in the library, but a table of it is a mistyped degree
+    ("table", "gegenbauer", "--a", "0.5", "--m", "-1", "--grid", "-1", "1", "3"),
+], ids=["eval", "table-radial-l", "table-radial-n", "table-momentum-radial",
+        "table-gegenbauer-m"])
 def test_eval_rejects_invalid_quantum_numbers(args):
     proc = run_cli(*args)
     assert proc.returncode == 2 and not proc.stdout
@@ -298,13 +301,55 @@ def test_verify_deterministic_modulo_elapsed():
     assert a == b
 
 
+def _without_blas_variables() -> dict:
+    return {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
+
+
+def _python_lines(code: str, env: dict) -> list:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.splitlines()
+
+
+_THREADS = "len(os.listdir('/proc/self/task'))"
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+@needs_proc_tasks
+def test_cli_starts_blas_with_one_thread_by_default():
+    lines = _python_lines(f"import os, fockspace.cli\nprint({_THREADS})",
+                          _without_blas_variables())
+    assert lines == ["1"]
+
+
+@needs_proc_tasks
+def test_a_blas_thread_variable_the_user_set_wins():
+    env = dict(_without_blas_variables(), OPENBLAS_NUM_THREADS="2")
+    code = (f"import os, fockspace.cli\n"
+            f"print(os.environ['OPENBLAS_NUM_THREADS'], 'MKL_NUM_THREADS' in os.environ)\n"
+            f"print({_THREADS})")
+    value, threads = _python_lines(code, env)
+    assert value == "2 False"
+    if os.cpu_count() > 1:  # OpenBLAS sizes its pool by the CPUs it sees
+        assert int(threads) > 1
+
+
+def test_cli_imported_after_numpy_leaves_the_environment_alone():
+    code = ("import os, numpy\nbefore = dict(os.environ)\nimport fockspace.cli\n"
+            "print(dict(os.environ) == before)")
+    assert _python_lines(code, _without_blas_variables()) == ["True"]
+
+
 def test_verify_report_does_not_depend_on_blas_thread_count():
     # byte for byte, elapsed_ms aside: no reduction's summation order may
     # follow the number of BLAS threads.  The second run is in dev mode, where
     # an unclosed pipe of the worker pool or a fork warning would show.
+    # The first run sets no thread variable, so it takes the command's
+    # default of one BLAS thread.
     outputs = []
-    for threads, flags in (("1", ()), ("2", ("-X", "dev"))):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    for threads, flags in (({}, ()), ({"OPENBLAS_NUM_THREADS": "2"}, ("-X", "dev"))):
+        env = dict(_without_blas_variables(), **threads)
         proc = run_cli("verify", "all", "--seed", "42", "--format", "json", env=env, flags=flags)
         assert proc.returncode == 0
         outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))

@@ -377,6 +377,39 @@ def test_triple_d_matches_3j_products(n, l, tol):
             assert chk.threej_product == pytest.approx(want, rel=1e-13)
 
 
+def _uncached_triple_d_numeric(n, m1, m2, l, m) -> complex:
+    # triple_D_integral's numeric side with its three small-d arrays rebuilt
+    # on every call, in the order of its product
+    j = 0.5 * (n - 1)
+    gl = qr.gauss_legendre(64)
+    theta = np.arccos(gl.nodes)
+    dprod = (sf.wigner_d_small(j, j, m1, theta)
+             * sf.wigner_d_small(j, -j, m2, theta)
+             * sf.wigner_d_small(l, 0, m, theta))
+    theta_part = float(np.sum(gl.weights * dprod))
+    phi = 2.0 * math.pi * np.arange(32) / 32
+    phi_part = complex(np.sum(np.exp(-1j * (m1 + m2 + m) * phi))) * 2.0 * math.pi / 32
+    return theta_part * (2.0 * math.pi) * phi_part / (8.0 * math.pi ** 2)
+
+
+def test_triple_d_cached_arrays_keep_every_bit():
+    # every (n, m1, m2, l, m) of the identities suite's sweep, twice, so the
+    # second pass reads only cached arrays
+    for _ in range(2):
+        for n in (2, 3, 4):
+            for l in range(1, min(3, n) + 1):
+                for tm1 in range(-(n - 1), n, 2):
+                    for tm2 in range(-(n - 1), n, 2):
+                        m1, m2 = 0.5 * tm1, 0.5 * tm2
+                        for m in range(-l, l + 1):
+                            got = idn.triple_D_integral(n, m1, m2, l, m).numeric
+                            want = _uncached_triple_d_numeric(n, m1, m2, l, m)
+                            bits = np.array([got, want]).view(np.int64).reshape(2, 2)
+                            assert bits[0].tolist() == bits[1].tolist(), (n, m1, m2, l, m)
+    with pytest.raises(ValueError, match="read-only"):
+        idn._haar_d(1.5, 1.5, 0.5)[0] = 1.0
+
+
 def test_passage_ground_state_exact():
     chk = idn.passage_residual(1, 0, 0, 1.0, 0.5, 0.7)
     assert chk.residual < 1e-14
