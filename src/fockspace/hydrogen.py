@@ -29,6 +29,7 @@ are recovered numerically by Cauchy circle quadrature in (z, alpha, xi, eta).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -92,8 +93,14 @@ class FockPoint:
 # closed-form wavefunctions
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256, typed=True)
 def normalization(n: int, l: int) -> float:
-    """Radial normalization N_nl = (2/n^2) sqrt((n-l-1)!/(n+l)!)."""
+    """Radial normalization N_nl = (2/n^2) sqrt((n-l-1)!/(n+l)!).
+
+    Cached per (n, l) and argument type, so each type keeps the value its
+    own arithmetic gives (a float32 n computes n^2 in float32); invalid
+    labels raise on every call, since an exception is never cached.
+    """
     QuantumNumbers(n, l, 0)
     return (2.0 / n ** 2) * math.exp(_log_root_ratio(n, l))
 

@@ -14,7 +14,8 @@ The estimator takes real or complex integrands; it is the one
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
-arrays read-only.
+arrays read-only.  The Laguerre oracles build only the nodes whose weight
+is nonzero, a prefix of the rule (``_laguerre_live``, cached the same way).
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ LOG_ZERO_WEIGHT = math.log(np.finfo(float).smallest_subnormal) - 56.0
 _START_HALVINGS = 24
 _NODE_RTOL = 1e-9
 _HALLEY_PASSES = 8
+# Nodes past the estimated last live one that the quadrature oracles
+# polish; the phase count of the live prefix is good to about one node.
+_LIVE_MARGIN = 4
 # Wichura's AS241 (PPND16, Applied Statistics 37, 1988, 477-484): the
 # inverse normal CDF as a rational function of degree 7/7 in each of three
 # regions, relative error about 1e-16.  Coefficients lowest order first; the
@@ -159,8 +163,25 @@ def gauss_legendre(npts: int) -> QuadratureRule:
     return QuadratureRule(x, w, measure=2.0)
 
 
-def _laguerre_nodes(npts: int, a: float) -> np.ndarray:
-    """Zeros of L_npts^a in increasing order, without an eigensolver.
+def _laguerre_span(npts: int, a: float) -> tuple:
+    # nu, and the width D = x+ - x- and start x- of the oscillatory span of
+    # _laguerre_nodes
+    nu = 4.0 * npts + 2.0 * a + 2.0
+    width = math.sqrt(nu * nu - 4.0 * a * a)  # D = x+ - x-
+    low = 2.0 * a * a / (nu + width)  # x-, without the cancellation of nu - D
+    return nu, width, low
+
+
+def _laguerre_phase(theta, a: float, nu: float, width: float, low: float):
+    # the Liouville-Green phase of _laguerre_nodes at the angle theta
+    x = low + width * np.sin(theta) ** 2
+    return 0.25 * width * np.sin(2.0 * theta) + 0.5 * nu * theta - 0.5 * a * (
+        np.arcsin(np.clip((nu - 2.0 * a * a / x) / width, -1.0, 1.0)) + 0.5 * math.pi)
+
+
+def _laguerre_nodes(npts: int, a: float, first: int = 0, stop: int | None = None) -> np.ndarray:
+    """Zeros first..stop-1 (from 0, default all) of L_npts^a in increasing
+    order, without an eigensolver.
 
     Starts: u = e^(-x/2) x^((a+1)/2) L_n^a solves u'' + R/(4x^2) u = 0 with
     R = -x^2 + nu x - a^2 and nu = 4n + 2a + 2.  Its Liouville-Green phase
@@ -176,22 +197,22 @@ def _laguerre_nodes(npts: int, a: float) -> np.ndarray:
     x = 0: d_1 = x, d_(k+1) = x + k / ((k+a)/d_k - 1).  Unlike s_k, d_k never
     adds x to a term of size k, so the smallest zeros keep their relative
     accuracy, and a zero of s_k passes through as an infinity, not a NaN.
+    No node's bisection or Halley arithmetic involves another node, so a
+    range has the bits of the same entries of the full set.
     """
-    nu = 4.0 * npts + 2.0 * a + 2.0
-    width = math.sqrt(nu * nu - 4.0 * a * a)  # D = x+ - x-
-    low = 2.0 * a * a / (nu + width)  # x-, without the cancellation of nu - D
-    target = (np.arange(1, npts + 1) - 0.25) * math.pi
-    lo, hi = np.zeros(npts), np.full(npts, 0.5 * math.pi)
+    stop = npts if stop is None else stop
+    if stop <= first:
+        return np.empty(0)
+    nu, width, low = _laguerre_span(npts, a)
+    target = (np.arange(first + 1, stop + 1) - 0.25) * math.pi
+    lo, hi = np.zeros(target.size), np.full(target.size, 0.5 * math.pi)
     for _ in range(_START_HALVINGS):
         theta = 0.5 * (lo + hi)
-        x = low + width * np.sin(theta) ** 2
-        phase = 0.25 * width * np.sin(2.0 * theta) + 0.5 * nu * theta - 0.5 * a * (
-            np.arcsin(np.clip((nu - 2.0 * a * a / x) / width, -1.0, 1.0)) + 0.5 * math.pi)
-        below = phase < target
+        below = _laguerre_phase(theta, a, nu, width, low) < target
         lo = np.where(below, theta, lo)
         hi = np.where(below, hi, theta)
     x = low + width * np.sin(0.5 * (lo + hi)) ** 2
-    moving = np.arange(npts)
+    moving = np.arange(target.size)
     with np.errstate(divide="ignore", over="ignore"):
         for sweep in range(_HALLEY_PASSES):
             t = x[moving]
@@ -214,21 +235,41 @@ def _laguerre_nodes(npts: int, a: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
-    """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf).
+def _laguerre_live_estimate(npts: int, a: float) -> int:
+    """Nodes to polish so that the live prefix (see ``_laguerre_live``) is
+    inside them: the zeros below the cut x_c where the log of the tail
+    bound reaches LOG_ZERO_WEIGHT, counted by the Liouville-Green phase at
+    x_c, plus the first node past it and _LIVE_MARGIN more."""
+    x_cut = -LOG_ZERO_WEIGHT
+    for _ in range(4):  # x = a log x - log1p(-a+/x) - LOG_ZERO_WEIGHT contracts
+        x_cut = a * math.log(x_cut) - math.log1p(-max(a, 0.0) / x_cut) - LOG_ZERO_WEIGHT
+    nu, width, low = _laguerre_span(npts, a)
+    # the phase at x+ (theta = pi/2) is (n + 1/2) pi, so a cut past x+ counts n
+    theta = math.asin(math.sqrt(min(max(x_cut - low, 0.0) / width, 1.0)))
+    below = math.floor(float(_laguerre_phase(theta, a, nu, width, low)) / math.pi + 0.25)
+    return min(npts, below + 1 + _LIVE_MARGIN)
 
-    The nodes come from ``_laguerre_nodes`` (asymptotic starts, Halley
-    polish) and the weights from the Christoffel-Darboux kernel, both run on
-    forms of the three-term recurrence that keep their relative accuracy at
-    the smallest nodes, so the weights sum to Gamma(a+1) to about 1e-14 even
-    for a near -1, where the first weights carry most of the mass.
-    The weight recurrence runs only over the nodes whose weight can be
-    nonzero.  By the separation theorem (Szego, Orthogonal Polynomials,
-    Thm 3.41.1) w_i is below the tail mass beyond x_(i-1), which for
-    x > 2(a+1) is below x^a e^-x / (1 - max(a, 0)/x).  The weights after the
-    first node where the log of that bound is below LOG_ZERO_WEIGHT (about
-    -800) are 0.0, as the full recurrence also gives them.
+
+def _laguerre_live_count(nodes: np.ndarray, a: float) -> int:
+    # Separation theorem: w_i < mu((x_(i-1), inf)), the tail of t^a e^-t,
+    # which for x > 2(a+1) is below x^a e^-x / (1 - a+/x), a+ = max(a, 0).
+    # The log of that bound falls with x, so the nodes whose weight can be
+    # nonzero are a prefix: up to and including the first node past the cut.
+    # Of a prefix of the nodes that holds no node past the cut, this count
+    # is more than its length.
+    first = np.searchsorted(nodes, 2.0 * (a + 1.0), side="right")
+    t = nodes[first:]
+    log_tail = a * np.log(t) - t - np.log1p(-max(a, 0.0) / t)
+    return int(first + 1 + np.count_nonzero(log_tail >= LOG_ZERO_WEIGHT))
+
+
+@functools.lru_cache(maxsize=32)
+def _laguerre_live(npts: int, a: float) -> QuadratureRule:
+    """The live prefix of ``gauss_laguerre(npts, a)``: its nodes up to and
+    including the first past the LOG_ZERO_WEIGHT cut, with their weights,
+    bit for bit.  The later weights are 0.0, so these nodes alone carry the
+    measure; their count, read off the Liouville-Green phase, is checked on
+    the polished nodes, and the prefix grows until it holds the cut.
     """
     _check_nodes(npts)
     if a <= -1.0:
@@ -239,16 +280,15 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(
             f"the measure Gamma(a+1) leaves the double range for a = {a}"
         ) from None
-    nodes = _laguerre_nodes(npts, a)
-    # Separation theorem: w_i < mu((x_(i-1), inf)), the tail of t^a e^-t,
-    # which for x > 2(a+1) is below x^a e^-x / (1 - a+/x), a+ = max(a, 0).
-    # The log of that bound falls with x, so the nodes whose weight can be
-    # nonzero are a prefix: up to and including the first node past the cut.
-    first = np.searchsorted(nodes, 2.0 * (a + 1.0), side="right")
-    t = nodes[first:]
-    log_tail = a * np.log(t) - t - np.log1p(-max(a, 0.0) / t)
-    live = min(npts, first + 1 + np.count_nonzero(log_tail >= LOG_ZERO_WEIGHT))
-    x = nodes[:live]
+    stop = _laguerre_live_estimate(npts, a)
+    nodes = _laguerre_nodes(npts, a, 0, stop)
+    live = _laguerre_live_count(nodes, a)
+    while stop < npts and live > stop:
+        grown = min(npts, 2 * stop + 1)
+        nodes = np.concatenate((nodes, _laguerre_nodes(npts, a, stop, grown)))
+        stop = grown
+        live = _laguerre_live_count(nodes, a)
+    x = nodes[:min(npts, live)]
     # weights from the Christoffel-Darboux kernel of the orthonormal
     # polynomials: w_i = 1 / sum_k q_k(x_i)^2, with q_k = sigma_k e_k,
     # sigma_k = q_k(0) = sqrt((a+1)_k / (k! mass)) and e_k = L_k^a / L_k^a(0).
@@ -280,9 +320,42 @@ def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
             f[big] *= 1e-100
             kernel[big] *= 1e-200
             log_scale[big] -= 100.0 * math.log(10.0)
-    weights = np.zeros_like(nodes)
-    weights[:live] = np.exp(2.0 * log_scale) / kernel
-    return QuadratureRule(nodes, weights, measure=mass)
+    return QuadratureRule(x, np.exp(2.0 * log_scale) / kernel, measure=mass)
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
+    """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf).
+
+    The nodes come from ``_laguerre_nodes`` (asymptotic starts, Halley
+    polish) and the weights from the Christoffel-Darboux kernel, both run on
+    forms of the three-term recurrence that keep their relative accuracy at
+    the smallest nodes, so the weights sum to Gamma(a+1) to about 1e-14 even
+    for a near -1, where the first weights carry most of the mass.
+    The weight recurrence runs only over the nodes whose weight can be
+    nonzero.  By the separation theorem (Szego, Orthogonal Polynomials,
+    Thm 3.41.1) w_i is below the tail mass beyond x_(i-1), which for
+    x > 2(a+1) is below x^a e^-x / (1 - max(a, 0)/x).  The weights after the
+    first node where the log of that bound is below LOG_ZERO_WEIGHT (about
+    -800) are 0.0, as the full recurrence also gives them.  The quadrature
+    oracles (``radial_hankel``, ``radial_overlap``) build only those live
+    nodes, with their weights; this rule is that prefix followed by the
+    remaining nodes with zero weights.
+    """
+    live = _laguerre_live(npts, a)
+    weights = np.zeros(npts)
+    weights[:live.weights.size] = live.weights
+    nodes = np.concatenate((live.nodes, _laguerre_nodes(npts, a, live.nodes.size)))
+    return QuadratureRule(nodes, weights, measure=live.measure)
+
+
+def _rule_sum(live_terms: np.ndarray, npts: int):
+    """Sum over the last axis of an npts-node rule's terms, given at its
+    live nodes only: the other terms are 0.0, and summing them as zeros keeps
+    numpy's pairwise order, so the sum has the full rule's bits."""
+    terms = np.zeros(live_terms.shape[:-1] + (npts,), dtype=live_terms.dtype)
+    terms[..., :live_terms.shape[-1]] = live_terms
+    return np.sum(terms, axis=-1)
 
 
 def gauss_hermite(npts: int) -> QuadratureRule:
@@ -346,7 +419,11 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     with a generalized Gauss-Laguerre rule matched to the bound state's
     exponential decay: substituting r = n*t makes the integrand exactly
     t^(l+2) e^-t times a polynomial times j_l, so the rule with weight
-    t^(l+2) e^-t integrates the smooth remainder.
+    t^(l+2) e^-t integrates the smooth remainder.  Only the rule's nodes
+    with a nonzero weight are built and evaluated; the sum has the bits of
+    the full npts-node rule's, and where the Laguerre polynomial overflows
+    at a far node of zero weight (as at (n, l) = (120, 0) with 4096 nodes)
+    that node adds nothing, not the NaN of 0 * inf.
 
     Raises ``ValueError`` for l >= 169, where the rule's measure Gamma(l+3)
     overflows, and ``OverflowError`` where the normalization N_nl is below
@@ -358,7 +435,7 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
-    rule = gauss_laguerre(npts, float(l + 2))
+    rule = _laguerre_live(npts, float(l + 2))
     norm = hydrogen.normalization(n, l)
     if norm < sys.float_info.min:
         raise OverflowError(
@@ -373,7 +450,7 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     )
     pt = np.multiply.outer(p, float(n) * t)
     jl = specfun.spherical_bessel(l, pt)
-    integral = np.sum(rule.weights * poly * jl, axis=-1)
+    integral = _rule_sum(rule.weights * poly * jl, npts)
     vals = (-1j) ** l * math.sqrt(2.0 / math.pi) * float(n) ** 3 * integral
     return vals if np.ndim(vals) else complex(vals)
 
@@ -384,12 +461,14 @@ def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
     Substituting t = (1/n1 + 1/n2) r turns the integrand into a polynomial
     times the generalized Laguerre weight t^(2l+2) e^-t, so the quadrature
     is exact up to roundoff.  Equals delta_(n1,n2) for true bound states.
+    As in ``radial_hankel``, only the rule's nodes with a nonzero weight
+    are built and evaluated, and the sum has the full rule's bits.
     """
     specfun.QuantumNumbers(n1, l, 0)
     specfun.QuantumNumbers(n2, l, 0)
     d1, d2 = 1.0 / n1, 1.0 / n2
     s = d1 + d2
-    rule = gauss_laguerre(npts, float(2 * l + 2))
+    rule = _laguerre_live(npts, float(2 * l + 2))
     t = rule.nodes
     poly = (
         hydrogen.normalization(n1, l) * hydrogen.normalization(n2, l)
@@ -397,7 +476,7 @@ def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
         * specfun.laguerre(n1 - l - 1, 2 * l + 1, 2.0 * d1 * t / s)
         * specfun.laguerre(n2 - l - 1, 2 * l + 1, 2.0 * d2 * t / s)
     )
-    return float(np.sum(rule.weights * poly)) / s ** 3
+    return float(_rule_sum(rule.weights * poly, npts)) / s ** 3
 
 
 def momentum_norm(n: int, l: int, npts: int = 200) -> float:

@@ -72,6 +72,20 @@ def test_eval_rejects_invalid_quantum_numbers(args):
     assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
 
 
+def test_table_gegenbauer_caps_the_degree(capsys):
+    cap = cli._MAX_GEGENBAUER_DEGREE
+    argv = ["table", "gegenbauer", "--a", "0.5", "--grid", "-1", "1", "3", "--m"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [str(cap + 1)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert err.splitlines()[-1] == (
+        f"fockspace: error: the Gegenbauer degree --m must be at most {cap:,}, got {cap + 1}")
+    # the cap itself is a degree: P_cap(+-1) = 1
+    assert cli.main(argv + [str(cap)]) == 0
+    assert capsys.readouterr().out.splitlines()[1::2] == ["-1,1", "1,1"]
+
+
 def test_eval_output_bytes_deterministic():
     args = ("eval", "momentum", "--n", "3", "--l", "2", "--m", "-1",
             "--point", "0.3", "-0.4", "0.5")

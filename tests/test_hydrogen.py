@@ -20,6 +20,27 @@ def test_ground_state_radial_closed_form():
     assert np.allclose(hy.radial_position(1, 0, r), 2.0 * np.exp(-r), rtol=1e-14)
 
 
+def test_normalization_is_cached_and_still_refuses(monkeypatch):
+    assert hy.normalization.cache_info().maxsize is not None
+    n, l = 7, 3
+    assert hy.normalization(n, l) == hy.normalization.__wrapped__(n, l)
+    # an exception is not cached: a bad label raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            hy.normalization(2, 2)
+    # so a one-point psi call builds one QuantumNumbers, not two
+    built = []
+
+    class Counting(sf.QuantumNumbers):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(hy, "QuantumNumbers", Counting)
+    hy.psi_momentum(sf.QuantumNumbers(n, l, 1), (0.1, 0.2, 0.3))
+    assert len(built) == 1
+
+
 def test_radial_vanishes_at_origin_for_l_positive():
     assert hy.radial_position(2, 1, 0.0) == 0.0
 

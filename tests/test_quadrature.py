@@ -111,6 +111,59 @@ def test_laguerre_nodes_match_the_tridiagonal_eigenvalues(npts, a):
             assert max(abs((x - r) / r) for x, r in zip(nodes, exact)) <= 1e-13
 
 
+@pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
+def test_laguerre_live_prefix_is_the_rule_prefix(npts, a):
+    # the oracles' live rule is the start of gauss_laguerre's, byte for
+    # byte, every later weight is 0.0, and the rule's nodes, polished in two
+    # ranges, are the bits of one polish of all of them
+    rule, live = qr.gauss_laguerre(npts, a), qr._laguerre_live(npts, a)
+    k = live.nodes.size
+    assert live.nodes.tobytes() == rule.nodes[:k].tobytes()
+    assert live.weights.tobytes() == rule.weights[:k].tobytes()
+    assert np.all(rule.weights[k:] == 0.0)
+    assert rule.nodes.tobytes() == qr._laguerre_nodes(npts, a).tobytes()
+
+
+def _spy_on_node_ranges(monkeypatch):
+    ranges = []
+    polish = qr._laguerre_nodes
+
+    def spy(npts, a, first=0, stop=None):
+        ranges.append((first, npts if stop is None else stop))
+        return polish(npts, a, first, stop)
+
+    monkeypatch.setattr(qr, "_laguerre_nodes", spy)
+    return ranges
+
+
+def test_laguerre_live_prefix_grows_from_a_short_estimate(monkeypatch):
+    want = qr._laguerre_live(1151, 7.0)
+    qr._laguerre_live.cache_clear()
+    ranges = _spy_on_node_ranges(monkeypatch)
+    monkeypatch.setattr(qr, "_laguerre_live_estimate", lambda npts, a: 3)
+    try:
+        got = qr._laguerre_live(1151, 7.0)
+    finally:
+        qr._laguerre_live.cache_clear()
+    assert len(ranges) > 1 and ranges[0] == (0, 3)
+    assert all(r[1] == s[0] for r, s in zip(ranges, ranges[1:]))
+    assert got.nodes.tobytes() == want.nodes.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_hankel_polishes_only_the_live_nodes(monkeypatch):
+    # the saving of the live prefix, guarded by a count of polished nodes
+    live = qr._laguerre_live(4096, 2.0).nodes.size
+    assert live < 4096 // 3
+    qr._laguerre_live.cache_clear()
+    ranges = _spy_on_node_ranges(monkeypatch)
+    try:
+        qr.radial_hankel(2, 0, np.array([0.1, 0.5]), npts=4096)
+    finally:
+        qr._laguerre_live.cache_clear()
+    assert ranges and max(stop for _, stop in ranges) <= live + qr._LIVE_MARGIN
+
+
 @pytest.mark.parametrize("npts, a", [
     (1000, -0.9), (1151, -0.9), (2175, -0.9), (3000, -0.9), (4095, -0.9), (4096, -0.9),
     (2048, -0.5), (3000, -0.5), (4095, -0.5), (4096, -0.5),
@@ -238,6 +291,16 @@ def test_hankel_keeps_its_bits_where_the_normalization_is_normal():
         "0x1.e6cddd918ef70p+12", "-0x1.1ede1af6c34c6p-35",
         "-0x1.e6cddd918f078p+8", "0x1.1a708d89de868p+3")]) + 0j
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, l, npts", [(120, 0, 4096), (150, 0, 4096), (150, 10, 2048)])
+def test_hankel_is_finite_where_the_laguerre_polynomial_overflows_at_dead_nodes(n, l, npts):
+    # L_(n-l-1)^(2l+1)(2t) overflows at far nodes whose weight is 0.0; the
+    # full rule's sum formed 0 * inf = NaN there
+    p = np.array([0.25, 0.5, 1.0, 2.0]) / n
+    got = qr.radial_hankel(n, l, p, npts=npts)
+    want = (-1) ** l * hydrogen.radial_momentum(n, l, p)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_hankel_parseval():
