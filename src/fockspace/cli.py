@@ -38,10 +38,11 @@ import numpy as np
 from . import hydrogen, specfun
 
 _FMT = "{:.17g}"
-# The largest degree of `table gegenbauer`: its recurrence walks one rung per
-# degree (about 4 us each on a short grid), so a cap keeps a typo in --m
-# from running for hours, as the grid COUNT cap does for the grid.
-_MAX_GEGENBAUER_DEGREE = 100_000
+# The largest --n of a state and --m of `table gegenbauer`: each command's
+# recurrence walks one rung per degree (about 4 us each on a short grid), so
+# a cap keeps a typo from running for hours, as the grid COUNT cap does for
+# the grid.
+_MAX_DEGREE = 100_000
 
 
 def _fnum(x: float) -> str:
@@ -134,6 +135,8 @@ def _parse_tols(pairs, parser) -> dict:
 
 
 def _quantum_numbers(parser, n, l, m=0) -> specfun.QuantumNumbers:
+    if n > _MAX_DEGREE:
+        parser.error(f"the principal quantum number --n must be at most {_MAX_DEGREE:,}, got {n}")
     try:
         return specfun.QuantumNumbers(n, l, m)
     except ValueError as exc:
@@ -202,9 +205,8 @@ def _table_rows(args, parser):
             parser.error("table gegenbauer needs --a and --m")
         if args.m < 0:
             parser.error(f"the Gegenbauer degree --m must be >= 0, got {args.m}")
-        if args.m > _MAX_GEGENBAUER_DEGREE:
-            parser.error(f"the Gegenbauer degree --m must be at most "
-                         f"{_MAX_GEGENBAUER_DEGREE:,}, got {args.m}")
+        if args.m > _MAX_DEGREE:
+            parser.error(f"the Gegenbauer degree --m must be at most {_MAX_DEGREE:,}, got {args.m}")
         grid = _parse_grid(args.grid, parser, "table gegenbauer needs --grid")
         try:
             vals = np.atleast_1d(specfun.gegenbauer(args.m, args.a, grid))

@@ -58,7 +58,6 @@ class GaussianResult:
     value: complex
     closed_form: complex
     residual: float
-    method: str
     stderr: float | None = None
 
 
@@ -202,7 +201,7 @@ def det_identities(n: int, xs, alphas):
         closed = _closed_det(n, x, alpha)
         if abs(closed) < 1e-12:
             raise SingularityError("closed-form determinant vanishes at these parameters")
-        yield GaussianResult(value, closed, abs(value - closed), "determinant")
+        yield GaussianResult(value, closed, abs(value - closed))
 
 
 def _lu_dets(n: int, xs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -279,7 +278,7 @@ def gaussian_mc(n: int, x, alpha: complex,
         return np.exp(coeff * quad - (widen - 1.0) * np.einsum("ki,ki->k", u, u) + log_jacobian)
 
     mean, stderr = quadrature.mc_gaussian(dim, integrand, samples, seed)
-    return GaussianResult(mean, closed, abs(mean - closed), "monte_carlo", stderr)
+    return GaussianResult(mean, closed, abs(mean - closed), stderr)
 
 
 def gegenbauer_series_check(n: int, x, alpha: complex, terms: int) -> float:

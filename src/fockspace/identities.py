@@ -40,7 +40,6 @@ from .specfun import (
 __all__ = [
     "genfunc_gegenbauer",
     "bessel_genfunc",
-    "gegenbauer_recurrence",
     "gegenbauer_recurrence_ladder",
     "integral_rep",
     "plane_wave_partial",
@@ -131,21 +130,14 @@ def bessel_genfunc(a: float, z: float, chi: float) -> BesselGenFuncCheck:
     return BesselGenFuncCheck(lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 
-def gegenbauer_recurrence(a: float, n: int, x: float) -> float:
-    """Residual of (n+a) C_(n+1)^(a-1) = (a-1) [C_(n+1)^(a) - C_(n-1)^(a)].
+def gegenbauer_recurrence_ladder(a: float, n_max: int, x: float) -> list:
+    """Residual of (n+a) C_(n+1)^(a-1) = (a-1) [C_(n+1)^(a) - C_(n-1)^(a)] at
+    every degree n = 0, ..., n_max.
 
     Negative-degree polynomials count as zero.  Needs a > 1/2 so the lowered
-    order stays in range.
-    """
-    return gegenbauer_recurrence_ladder(a, n, x)[n][0]
-
-
-def gegenbauer_recurrence_ladder(a: float, n_max: int, x: float) -> list:
-    """``gegenbauer_recurrence`` at every degree n = 0, ..., n_max.
-
-    Returns one (residual, C_(n+1)^(a)(x)) pair per degree, the rung kept for
-    scaling the residual.  One ladder in a and one in a - 1 serve every
-    degree.
+    order stays in range.  Returns one (residual, C_(n+1)^(a)(x)) pair per
+    degree, the rung kept for scaling the residual.  One ladder in a and one
+    in a - 1 serve every degree.
     """
     if a <= 0.5:
         raise ValueError(f"need order a > 1/2, got a={a}")
@@ -188,7 +180,8 @@ def integral_rep(l: int, alpha: float, chi: float, quad_nodes: int = 200) -> Int
     lhs = (1.0 - 2.0 * alpha * math.cos(chi) + alpha * alpha) ** (-(l + 1.0))
     rule = quadrature.gauss_laguerre(quad_nodes, float(l + 1))
     c = alpha * math.sin(chi) / damp
-    rhs = float(np.sum(rule.weights * spherical_bessel(l, c * rule.nodes))) / damp ** (l + 2)
+    terms = rule.weights * spherical_bessel(l, c * rule.nodes)
+    rhs = float(quadrature.rule_sum(terms, quad_nodes)) / damp ** (l + 2)
     ratio = rhs / lhs
     kappa = ratio / (alpha * math.sin(chi)) ** l
     return IntegralRepCheck(lhs, rhs, ratio, kappa)
@@ -367,7 +360,6 @@ def triple_D_integral(n: int, m1, m2, l: int, m: int) -> TripleDCheck:
 
 class PassageCheck(NamedTuple):
     residual: float
-    phase: complex
     lhs: complex
     rhs: complex
 
@@ -411,7 +403,7 @@ def passage_residual(
     v = point_on_s3(chi, theta, phi)
     lhs = hyperspherical_Y(n, l, m, v)
     rhs = phase * _passage_rhs(n, l, m, su2_of_point(v))
-    return PassageCheck(abs(lhs - rhs) / max(1.0, abs(lhs)), phase, lhs, rhs)
+    return PassageCheck(abs(lhs - rhs) / max(1.0, abs(lhs)), lhs, rhs)
 
 
 def passage_phase(n: int, l: int) -> complex:

@@ -117,7 +117,6 @@ def hurwitz_map(u):
 class KSIntegralResult(NamedTuple):
     value: float
     error: float
-    method: str
 
 
 def _lifted_values(f, u):
@@ -149,11 +148,11 @@ def ks_integral(
         base = rule if rule is not None else quadrature.gauss_hermite(28)
         value = _hermite_lift(f, base)
         check = _hermite_lift(f, quadrature.gauss_hermite(max(6, len(base.nodes) // 2)))
-        return KSIntegralResult(value, abs(value - check), "quadrature")
+        return KSIntegralResult(value, abs(value - check))
     if method == "mc":
         est, err = quadrature.mc_gaussian(4, lambda u: _lifted_values(f, u),
                                           quadrature.DEFAULT_SAMPLES, seed)
-        return KSIntegralResult(4.0 * math.pi * est, 4.0 * math.pi * err, "mc")
+        return KSIntegralResult(4.0 * math.pi * est, 4.0 * math.pi * err)
     raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
 

@@ -14,8 +14,9 @@ The estimator takes real or complex integrands; it is the one
 
 Legendre and Laguerre rules are cached per process (bounded LRU); sharing
 one instance between callers is safe because rules are frozen and their
-arrays read-only.  The Laguerre oracles build only the nodes whose weight
-is nonzero, a prefix of the rule (``_laguerre_live``, cached the same way).
+arrays read-only.  A Laguerre rule holds only the nodes whose weight is
+nonzero, and ``rule_sum`` sums a rule's terms with the bits of the sum over
+all npts nodes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "gauss_laguerre",
     "gauss_hermite",
     "chebyshev_second",
+    "rule_sum",
     "ProductRule",
-    "angular_rule",
     "s3_rule",
     "radial_hankel",
     "radial_overlap",
@@ -85,8 +86,8 @@ LOG_ZERO_WEIGHT = math.log(np.finfo(float).smallest_subnormal) - 56.0
 _START_HALVINGS = 24
 _NODE_RTOL = 1e-9
 _HALLEY_PASSES = 8
-# Nodes past the estimated last live one that the quadrature oracles
-# polish; the phase count of the live prefix is good to about one node.
+# Nodes past the estimated last live one that gauss_laguerre polishes; the
+# phase count of the live prefix is good to about one node.
 _LIVE_MARGIN = 4
 # Wichura's AS241 (PPND16, Applied Statistics 37, 1988, 477-484): the
 # inverse normal CDF as a rational function of degree 7/7 in each of three
@@ -236,7 +237,7 @@ def _laguerre_nodes(npts: int, a: float, first: int = 0, stop: int | None = None
 
 
 def _laguerre_live_estimate(npts: int, a: float) -> int:
-    """Nodes to polish so that the live prefix (see ``_laguerre_live``) is
+    """Nodes to polish so that the live prefix (see ``gauss_laguerre``) is
     inside them: the zeros below the cut x_c where the log of the tail
     bound reaches LOG_ZERO_WEIGHT, counted by the Liouville-Green phase at
     x_c, plus the first node past it and _LIVE_MARGIN more."""
@@ -264,12 +265,24 @@ def _laguerre_live_count(nodes: np.ndarray, a: float) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _laguerre_live(npts: int, a: float) -> QuadratureRule:
-    """The live prefix of ``gauss_laguerre(npts, a)``: its nodes up to and
-    including the first past the LOG_ZERO_WEIGHT cut, with their weights,
-    bit for bit.  The later weights are 0.0, so these nodes alone carry the
-    measure; their count, read off the Liouville-Green phase, is checked on
-    the polished nodes, and the prefix grows until it holds the cut.
+def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
+    """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf),
+    holding the nodes of the npts-node rule whose weight can be nonzero.
+
+    The nodes come from ``_laguerre_nodes`` (asymptotic starts, Halley
+    polish) and the weights from the Christoffel-Darboux kernel, both run on
+    forms of the three-term recurrence that keep their relative accuracy at
+    the smallest nodes, so the weights sum to Gamma(a+1) to about 1e-14 even
+    for a near -1, where the first weights carry most of the mass.
+    By the separation theorem (Szego, Orthogonal Polynomials, Thm 3.41.1)
+    w_i is below the tail mass beyond x_(i-1), which for x > 2(a+1) is below
+    x^a e^-x / (1 - max(a, 0)/x).  The weights after the first node where
+    the log of that bound is below LOG_ZERO_WEIGHT (about -800) are 0.0, so
+    the rule stops at that node: the nodes up to it, with their weights, are
+    the first entries of the npts-node rule bit for bit, and carry its
+    measure.  Their count, read off the Liouville-Green phase, is checked on
+    the polished nodes, and the prefix grows until it holds the cut.  Sum a
+    rule's terms with ``rule_sum`` to get the npts-node rule's bits.
     """
     _check_nodes(npts)
     if a <= -1.0:
@@ -323,39 +336,14 @@ def _laguerre_live(npts: int, a: float) -> QuadratureRule:
     return QuadratureRule(x, np.exp(2.0 * log_scale) / kernel, measure=mass)
 
 
-@functools.lru_cache(maxsize=32)
-def gauss_laguerre(npts: int, a: float = 0.0) -> QuadratureRule:
-    """Generalized Gauss-Laguerre rule for the weight t^a e^-t on (0, inf).
-
-    The nodes come from ``_laguerre_nodes`` (asymptotic starts, Halley
-    polish) and the weights from the Christoffel-Darboux kernel, both run on
-    forms of the three-term recurrence that keep their relative accuracy at
-    the smallest nodes, so the weights sum to Gamma(a+1) to about 1e-14 even
-    for a near -1, where the first weights carry most of the mass.
-    The weight recurrence runs only over the nodes whose weight can be
-    nonzero.  By the separation theorem (Szego, Orthogonal Polynomials,
-    Thm 3.41.1) w_i is below the tail mass beyond x_(i-1), which for
-    x > 2(a+1) is below x^a e^-x / (1 - max(a, 0)/x).  The weights after the
-    first node where the log of that bound is below LOG_ZERO_WEIGHT (about
-    -800) are 0.0, as the full recurrence also gives them.  The quadrature
-    oracles (``radial_hankel``, ``radial_overlap``) build only those live
-    nodes, with their weights; this rule is that prefix followed by the
-    remaining nodes with zero weights.
-    """
-    live = _laguerre_live(npts, a)
-    weights = np.zeros(npts)
-    weights[:live.weights.size] = live.weights
-    nodes = np.concatenate((live.nodes, _laguerre_nodes(npts, a, live.nodes.size)))
-    return QuadratureRule(nodes, weights, measure=live.measure)
-
-
-def _rule_sum(live_terms: np.ndarray, npts: int):
-    """Sum over the last axis of an npts-node rule's terms, given at its
-    live nodes only: the other terms are 0.0, and summing them as zeros keeps
-    numpy's pairwise order, so the sum has the full rule's bits."""
-    terms = np.zeros(live_terms.shape[:-1] + (npts,), dtype=live_terms.dtype)
-    terms[..., :live_terms.shape[-1]] = live_terms
-    return np.sum(terms, axis=-1)
+def rule_sum(terms: np.ndarray, npts: int):
+    """Sum over the last axis of an npts-node rule's terms, given at the
+    nodes of ``gauss_laguerre(npts, a)`` only: the other terms are 0.0, and
+    summing them as zeros keeps numpy's pairwise order, so the sum has the
+    bits of the sum over all npts nodes."""
+    full = np.zeros(terms.shape[:-1] + (npts,), dtype=terms.dtype)
+    full[..., :terms.shape[-1]] = terms
+    return np.sum(full, axis=-1)
 
 
 def gauss_hermite(npts: int) -> QuadratureRule:
@@ -388,25 +376,15 @@ class ProductRule:
     weights: np.ndarray
 
 
-def _sphere_axes(n_theta: int, n_phi: int) -> tuple:
-    # theta, its Gauss-Legendre weights in cos(theta), phi, its uniform weights
-    gl = gauss_legendre(n_theta)
-    return (np.arccos(gl.nodes[::-1]), gl.weights[::-1],
-            2.0 * math.pi * np.arange(n_phi) / n_phi, np.full(n_phi, 2.0 * math.pi / n_phi))
-
-
-def angular_rule(n_theta: int = 32, n_phi: int = 33) -> ProductRule:
-    """Product rule over the unit sphere, axes (theta, phi); weights sum to 4 pi."""
-    theta, w_theta, phi, w_phi = _sphere_axes(n_theta, n_phi)
-    return ProductRule((theta[:, None], phi[None, :]), w_theta[:, None] * w_phi)
-
-
 def s3_rule(n_chi: int = 32, n_theta: int = 32, n_phi: int = 33) -> ProductRule:
     """Product rule over the unit 3-sphere, axes (chi, theta, phi), with the
     sin^2(chi) measure in the Chebyshev chi rule; weights sum to 2 pi^2."""
     cheb = chebyshev_second(n_chi)
-    theta, w_theta, phi, w_phi = _sphere_axes(n_theta, n_phi)
-    chi = np.arccos(cheb.nodes[::-1])
+    gl = gauss_legendre(n_theta)  # in cos(theta)
+    chi, theta = np.arccos(cheb.nodes[::-1]), np.arccos(gl.nodes[::-1])
+    w_theta = gl.weights[::-1]
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    w_phi = np.full(n_phi, 2.0 * math.pi / n_phi)
     # (chi weight * theta weight) * phi weight: one association, one set of bits
     return ProductRule((chi[:, None, None], theta[None, :, None], phi[None, None, :]),
                        cheb.weights[::-1, None, None] * w_theta[None, :, None] * w_phi)
@@ -435,7 +413,7 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
-    rule = _laguerre_live(npts, float(l + 2))
+    rule = gauss_laguerre(npts, float(l + 2))
     norm = hydrogen.normalization(n, l)
     if norm < sys.float_info.min:
         raise OverflowError(
@@ -450,7 +428,7 @@ def radial_hankel(n: int, l: int, p, npts: int = 300):
     )
     pt = np.multiply.outer(p, float(n) * t)
     jl = specfun.spherical_bessel(l, pt)
-    integral = _rule_sum(rule.weights * poly * jl, npts)
+    integral = rule_sum(rule.weights * poly * jl, npts)
     vals = (-1j) ** l * math.sqrt(2.0 / math.pi) * float(n) ** 3 * integral
     return vals if np.ndim(vals) else complex(vals)
 
@@ -468,7 +446,7 @@ def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
     specfun.QuantumNumbers(n2, l, 0)
     d1, d2 = 1.0 / n1, 1.0 / n2
     s = d1 + d2
-    rule = _laguerre_live(npts, float(2 * l + 2))
+    rule = gauss_laguerre(npts, float(2 * l + 2))
     t = rule.nodes
     poly = (
         hydrogen.normalization(n1, l) * hydrogen.normalization(n2, l)
@@ -476,7 +454,7 @@ def radial_overlap(n1: int, n2: int, l: int, npts: int = 200) -> float:
         * specfun.laguerre(n1 - l - 1, 2 * l + 1, 2.0 * d1 * t / s)
         * specfun.laguerre(n2 - l - 1, 2 * l + 1, 2.0 * d2 * t / s)
     )
-    return float(_rule_sum(rule.weights * poly, npts)) / s ** 3
+    return float(rule_sum(rule.weights * poly, npts)) / s ** 3
 
 
 def momentum_norm(n: int, l: int, npts: int = 200) -> float:

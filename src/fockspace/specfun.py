@@ -24,10 +24,13 @@ Conventions
   the unit sphere.
 * Angular momenta may be half-integers; they are represented internally as
   doubled integers so no floating-point j ever enters a factorial.
-* The D-matrix is D^j_{mp,m}(psi, theta, phi) = exp(-i*mp*psi) *
-  d^j_{mp,m}(theta) * exp(-i*m*phi), with the sign convention of the small-d
-  fixed by the harmonic relation
-  D^l_{0,m}(., theta, phi) = sqrt(4*pi/(2l+1)) * conj(Y_lm(theta, phi)).
+* The sign convention of the small-d is fixed by the harmonic relation
+  d^l_{0,m}(theta) * exp(-i*m*phi) = sqrt(4*pi/(2l+1)) * conj(Y_lm(theta, phi)).
+  The D-matrix of an SU(2) matrix extends it: at the matrix
+  [[c e^{-i(psi+phi)/2}, s e^{-i(psi-phi)/2}],
+   [-s e^{i(psi-phi)/2}, c e^{i(psi+phi)/2}]], c = cos(theta/2) and
+  s = sin(theta/2), D^j_{mp,m} = exp(-i*mp*psi) * d^j_{mp,m}(theta) *
+  exp(-i*m*phi).
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ __all__ = [
     "spherical_bessels",
     "wigner_3j",
     "wigner_d_small",
-    "wigner_D",
     "wigner_D_su2",
-    "euler_su2",
     "spherical_angles",
 ]
 
@@ -465,9 +466,9 @@ def wigner_d_small(j, mp, m, theta):
     """Small Wigner d^j_{mp,m}(theta) by Wigner's sum formula.
 
     Sign convention: d^j_{mp,m} here equals the transpose of the most common
-    tabulation, which is exactly what makes D^l_{0,m} coincide with
-    sqrt(4pi/(2l+1)) * conj(Y_lm).  Raises ValueError as ``wigner_3j`` does
-    (from j near 20).
+    tabulation, which is exactly what makes d^l_{0,m}(theta) e^{-i m phi}
+    coincide with sqrt(4pi/(2l+1)) * conj(Y_lm).  Raises ValueError as
+    ``wigner_3j`` does (from j near 20).
     """
     tmp, tm, _, jmmp, jpm, log_norm = _projection_pair(j, mp, m)
     theta = np.asarray(theta, dtype=float)
@@ -491,29 +492,14 @@ def wigner_d_small(j, mp, m, theta):
     return out if out.ndim else float(out)
 
 
-def wigner_D(j, mp, m, psi, theta, phi):
-    """Wigner D^j_{mp,m}(psi, theta, phi) = e^{-i mp psi} d^j_{mp,m} e^{-i m phi}."""
-    d = wigner_d_small(j, mp, m, theta)
-    val = np.exp(-1j * mp * np.asarray(psi)) * d * np.exp(-1j * m * np.asarray(phi))
-    return val if np.ndim(val) else complex(val)
-
-
-def euler_su2(psi, theta, phi) -> np.ndarray:
-    """SU(2) matrix whose polynomial representation matches ``wigner_D``."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    ep = np.exp(-0.5j * (psi + phi))
-    em = np.exp(-0.5j * (psi - phi))
-    return np.array([[c * ep, s * em], [-s * np.conj(em), c * np.conj(ep)]])
-
-
 def wigner_D_su2(j, mp, m, u) -> complex:
     """D^j_{mp,m} of an arbitrary SU(2) (or GL(2)) matrix argument.
 
-    This is the homogeneous-polynomial extension of the D-matrix: for a
-    matrix with determinant r it returns r^j times the unit-determinant value,
-    consistently with ``wigner_D`` on Euler angles.  Raises ValueError as
-    ``wigner_3j`` does.
+    This is the homogeneous-polynomial extension of the D-matrix: at the
+    SU(2) matrix of Euler angles (see the module conventions) it is
+    e^{-i mp psi} d^j_{mp,m}(theta) e^{-i m phi}, and for a matrix with
+    determinant r it returns r^j times the unit-determinant value.  Raises
+    ValueError as ``wigner_3j`` does.
     """
     tmp, tm, jpmp, _, jpm, log_norm = _projection_pair(j, mp, m)
     u = np.asarray(u)

@@ -72,8 +72,27 @@ def test_eval_rejects_invalid_quantum_numbers(args):
     assert proc.stderr.splitlines()[-1].startswith("fockspace: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "momentum", "--l", "0", "--m", "0", "--point", "0.1", "0", "0"],
+    ["table", "radial", "--l", "0", "--grid", "0", "1", "3"],
+    ["table", "momentum-radial", "--l", "0", "--grid", "0", "1", "3"],
+], ids=["eval", "table-radial", "table-momentum-radial"])
+def test_commands_cap_the_principal_quantum_number(argv, capsys):
+    # each walks n - l - 1 recurrence rungs, so a huge --n would run for minutes
+    cap = cli._MAX_DEGREE
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--n", str(cap + 1)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert err.splitlines()[-1] == (
+        f"fockspace: error: the principal quantum number --n must be at most {cap:,}, "
+        f"got {cap + 1}")
+    # the cap itself is a state; the check runs before any recurrence
+    assert cli._quantum_numbers(cli.build_parser(), cap, 0).n == cap
+
+
 def test_table_gegenbauer_caps_the_degree(capsys):
-    cap = cli._MAX_GEGENBAUER_DEGREE
+    cap = cli._MAX_DEGREE
     argv = ["table", "gegenbauer", "--a", "0.5", "--grid", "-1", "1", "3", "--m"]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [str(cap + 1)])

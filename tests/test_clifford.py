@@ -208,7 +208,6 @@ N = qr.LATTICE_POINTS
 
 def test_gaussian_mc_matches_closed_form():
     res = cl.gaussian_mc(2, (0, 0, 0, 0.5), 0.3, seed=7)
-    assert res.method == "monte_carlo"
     assert res.stderr is not None and res.stderr > 0
     assert res.residual < 3.0 * res.stderr
     assert res.closed_form == pytest.approx(1.0 / (1 - 2 * 0.3 * 0.5 + 0.09 * 0.25), rel=1e-14)

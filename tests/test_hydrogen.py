@@ -140,10 +140,10 @@ def test_psi_position_axis_node():
     assert hy.psi_position(sf.QuantumNumbers(2, 1, 1), (0, 0, 1.0)) == 0.0
 
 
-def test_psi_position_full_norm():
+def test_psi_position_full_norm(angular_rule):
     # |psi_210|^2 over space: radial overlap x angular normalization = 1
     qn = sf.QuantumNumbers(2, 1, 0)
-    rule = qr.angular_rule(24, 25)
+    rule = angular_rule(24, 25)
     y = sf.spherical_harmonic(1, 0, *rule.nodes)
     ang = float(np.sum(rule.weights * np.abs(y) ** 2))
     assert ang * qr.radial_overlap(2, 2, 1) == pytest.approx(1.0, rel=1e-10)

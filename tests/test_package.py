@@ -1,8 +1,9 @@
-"""Package surface: every exported name exists, every demo runs on it, and the
-runtime needs numpy alone."""
+"""Package surface: every exported name exists and a verify case reaches each
+exported function, every demo runs on it, and the runtime needs numpy alone."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,64 @@ def test_exported_names_exist(module):
     mod = getattr(fockspace, module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+# The public functions that no verify case calls, each with the file that
+# calls it and the reason it stays without a case.
+UNREACHED = {
+    "verify.run_verify": ("src/fockspace/cli.py", "the entry point of `fockspace verify`"),
+    "hydrogen.fock_map": ("src/fockspace/cli.py", "`table fock` and `fock-map`"),
+    "hydrogen.energy": ("demos/fock_projection.py", "the demo's energy levels"),
+    "clifford.det_identity": ("demos/clifford_gaussians.py", "the demo's one-row check"),
+}
+
+# Run in a fresh interpreter, so that no cache an earlier test filled hides a
+# call: prints [every public function, those a seed-42 case calls].
+_REACH = """
+import importlib, inspect, json, sys
+import fockspace
+from fockspace import verify
+public = {}
+for module in fockspace.__all__:
+    mod = importlib.import_module("fockspace." + module)
+    for name in mod.__all__:
+        function = inspect.unwrap(getattr(mod, name))  # through lru_cache
+        if inspect.isfunction(function):
+            public[function.__code__] = module + "." + name
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+sys.setprofile(profile)
+for suite in verify.SUITES.values():
+    suite(42, None, None)
+sys.setprofile(None)
+print(json.dumps([sorted(public.values()), sorted(public[c] for c in called if c in public)]))
+"""
+
+
+def test_every_public_function_is_reached_by_a_verify_case():
+    proc = subprocess.run([sys.executable, "-c", _REACH], capture_output=True, text=True,
+                          check=True)
+    public, reached = map(set, json.loads(proc.stdout))
+    unreached = sorted(public - reached - set(UNREACHED))
+    assert not unreached, f"no verify case reaches {unreached}"
+    # an allowed name that a case now reaches, or that is gone, is stale
+    stale = sorted(set(UNREACHED) - (public - reached))
+    assert not stale, f"stale allow-list entries {stale}"
+
+
+@pytest.mark.parametrize("qualified", sorted(UNREACHED))
+def test_unreached_function_is_called_where_its_reason_says(qualified):
+    module, name = qualified.split(".")
+    path = ROOT / UNREACHED[qualified][0]
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == name and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == module]
+    assert calls
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

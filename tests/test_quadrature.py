@@ -1,5 +1,6 @@
 """Quadrature rules, the Hankel oracle, and the Monte Carlo integrator."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -51,8 +52,9 @@ def test_laguerre_weight_sum_is_gamma():
 
 
 def _reference_weights(nodes, a):
-    # the weight recurrence of gauss_laguerre run over every node, as it was
-    # before the weights were built only where they can be nonzero
+    # the weight recurrence of gauss_laguerre run over every node of the
+    # len(nodes)-node rule, as it was before the weights were built only
+    # where they can be nonzero
     npts = len(nodes)
     mass = math.exp(math.lgamma(a + 1.0))
     e = np.ones_like(nodes)
@@ -76,6 +78,14 @@ def _reference_weights(nodes, a):
     return np.exp(2.0 * log_scale) / kernel
 
 
+@functools.lru_cache(maxsize=None)
+def _full_rule(npts, a):
+    # every zero of L_npts^a, polished in one pass, with its reference
+    # weight; gauss_laguerre keeps a prefix of this rule
+    nodes = qr._laguerre_nodes(npts, a, 0, npts)
+    return nodes, _reference_weights(nodes, a)
+
+
 LAGUERRE_CASES = [
     *((n, a) for n in (2, 3, 10, 100, 190, 300, 639, 1151)
       for a in (-0.5, 0.0, 0.5, 2.0, 3.0, 7.0, 12.0)),
@@ -86,8 +96,23 @@ LAGUERRE_CASES = [
 
 @pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
 def test_laguerre_cut_is_bit_identical_to_the_full_recurrence(npts, a):
-    rule = qr.gauss_laguerre(npts, a)
-    assert rule.weights.tobytes() == _reference_weights(rule.nodes, a).tobytes()
+    # the rule's weights are those of the recurrence run over all npts
+    # nodes, and every weight it drops is 0.0
+    rule, (_, weights) = qr.gauss_laguerre(npts, a), _full_rule(npts, a)
+    k = rule.nodes.size
+    assert rule.weights.tobytes() == weights[:k].tobytes()
+    assert np.all(weights[k:] == 0.0)
+
+
+@pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
+def test_laguerre_live_prefix_is_the_rule_prefix(npts, a):
+    # the rule is the start of the npts-node rule, byte for byte: its length
+    # follows the live-count law, and its nodes, polished in ranges, are the
+    # first of one polish of all of them
+    rule, (nodes, _) = qr.gauss_laguerre(npts, a), _full_rule(npts, a)
+    k = rule.nodes.size
+    assert k == min(npts, qr._laguerre_live_count(nodes, a))
+    assert rule.nodes.tobytes() == nodes[:k].tobytes()
 
 
 @pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
@@ -95,7 +120,7 @@ def test_laguerre_nodes_match_the_tridiagonal_eigenvalues(npts, a):
     # the Jacobi matrix of the weight t^a e^-t (Golub-Welsch), solved by
     # LAPACK; for few nodes, also the roots of L_n^a at 60 digits
     from scipy.linalg import eigh_tridiagonal
-    nodes = qr.gauss_laguerre(npts, a).nodes
+    nodes, _ = _full_rule(npts, a)
     k = np.arange(npts, dtype=float)
     eig = eigh_tridiagonal(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
                            eigvals_only=True)
@@ -111,19 +136,6 @@ def test_laguerre_nodes_match_the_tridiagonal_eigenvalues(npts, a):
             assert max(abs((x - r) / r) for x, r in zip(nodes, exact)) <= 1e-13
 
 
-@pytest.mark.parametrize("npts, a", LAGUERRE_CASES)
-def test_laguerre_live_prefix_is_the_rule_prefix(npts, a):
-    # the oracles' live rule is the start of gauss_laguerre's, byte for
-    # byte, every later weight is 0.0, and the rule's nodes, polished in two
-    # ranges, are the bits of one polish of all of them
-    rule, live = qr.gauss_laguerre(npts, a), qr._laguerre_live(npts, a)
-    k = live.nodes.size
-    assert live.nodes.tobytes() == rule.nodes[:k].tobytes()
-    assert live.weights.tobytes() == rule.weights[:k].tobytes()
-    assert np.all(rule.weights[k:] == 0.0)
-    assert rule.nodes.tobytes() == qr._laguerre_nodes(npts, a).tobytes()
-
-
 def _spy_on_node_ranges(monkeypatch):
     ranges = []
     polish = qr._laguerre_nodes
@@ -137,14 +149,14 @@ def _spy_on_node_ranges(monkeypatch):
 
 
 def test_laguerre_live_prefix_grows_from_a_short_estimate(monkeypatch):
-    want = qr._laguerre_live(1151, 7.0)
-    qr._laguerre_live.cache_clear()
+    want = qr.gauss_laguerre(1151, 7.0)
+    qr.gauss_laguerre.cache_clear()
     ranges = _spy_on_node_ranges(monkeypatch)
     monkeypatch.setattr(qr, "_laguerre_live_estimate", lambda npts, a: 3)
     try:
-        got = qr._laguerre_live(1151, 7.0)
+        got = qr.gauss_laguerre(1151, 7.0)
     finally:
-        qr._laguerre_live.cache_clear()
+        qr.gauss_laguerre.cache_clear()
     assert len(ranges) > 1 and ranges[0] == (0, 3)
     assert all(r[1] == s[0] for r, s in zip(ranges, ranges[1:]))
     assert got.nodes.tobytes() == want.nodes.tobytes()
@@ -153,14 +165,14 @@ def test_laguerre_live_prefix_grows_from_a_short_estimate(monkeypatch):
 
 def test_hankel_polishes_only_the_live_nodes(monkeypatch):
     # the saving of the live prefix, guarded by a count of polished nodes
-    live = qr._laguerre_live(4096, 2.0).nodes.size
+    live = qr.gauss_laguerre(4096, 2.0).nodes.size
     assert live < 4096 // 3
-    qr._laguerre_live.cache_clear()
+    qr.gauss_laguerre.cache_clear()
     ranges = _spy_on_node_ranges(monkeypatch)
     try:
         qr.radial_hankel(2, 0, np.array([0.1, 0.5]), npts=4096)
     finally:
-        qr._laguerre_live.cache_clear()
+        qr.gauss_laguerre.cache_clear()
     assert ranges and max(stop for _, stop in ranges) <= live + qr._LIVE_MARGIN
 
 
@@ -190,11 +202,12 @@ def test_laguerre_rule_imports_no_scipy():
 
 def test_laguerre_zero_weight_tail_and_moments_at_4096():
     a = 3.0
-    rule = qr.gauss_laguerre(4096, a)
+    rule, (nodes, weights) = qr.gauss_laguerre(4096, a), _full_rule(4096, a)
     live = np.count_nonzero(rule.weights)
-    assert 0 < live < 4096
+    assert 0 < live <= rule.nodes.size == qr._laguerre_live_count(nodes, a) < 4096
     assert np.all(rule.weights[:live] > 0.0)
-    assert np.all(rule.weights[live:] == 0.0)
+    assert rule.weights.tobytes() == weights[:rule.nodes.size].tobytes()
+    assert np.all(weights[live:] == 0.0)
     for k in range(5):
         got = rule.integrate(lambda t: t ** k)
         assert got == pytest.approx(math.gamma(a + k + 1.0), rel=1e-12)
@@ -241,8 +254,8 @@ def test_laguerre_measure_beyond_the_double_range_is_a_value_error():
         qr.radial_hankel(170, 169, 0.01)
 
 
-def test_product_rule_weights_sum_to_the_measure():
-    ang = qr.angular_rule(16, 17)
+def test_product_rule_weights_sum_to_the_measure(angular_rule):
+    ang = angular_rule(16, 17)
     assert ang.weights.shape == (16, 17)
     assert float(np.sum(ang.weights)) == pytest.approx(4 * math.pi, rel=1e-13)
     s3 = qr.s3_rule(12, 12, 13)

@@ -188,10 +188,8 @@ def test_sph_harm_against_legendre_oracle(l, m, subtests=None):
         assert sf.spherical_harmonic(l, m, th, ph) == pytest.approx(complex(want), rel=1e-11)
 
 
-def test_sph_harm_orthonormal_gram():
-    from fockspace import quadrature as qr
-
-    rule = qr.angular_rule(16, 16)
+def test_sph_harm_orthonormal_gram(angular_rule):
+    rule = angular_rule(16, 16)
     pairs = [(l, m) for l in range(7) for m in range(-l, l + 1)]
     theta, phi = rule.nodes
     fields = [sf.spherical_harmonic(l, m, theta, phi) for (l, m) in pairs]
@@ -470,7 +468,7 @@ def test_wigner_sums_refuse_catastrophic_cancellation():
         message = rf"wigner_3j\({j}, {j}, {j}, 0, 0, 0\): .* cancellation"
         with pytest.raises(ValueError, match=message):
             sf.wigner_3j(j, j, j, 0, 0, 0)
-    u = sf.euler_su2(0.3, 1.3, 0.5)
+    u = euler_su2(0.3, 1.3, 0.5)
     for j in (20, 60):
         with pytest.raises(ValueError, match="wigner_d_small.*cancellation"):
             [sf.wigner_d_small(j, mp, m, 1.3) for mp in range(-j, j + 1) for m in range(-j, j + 1)]
@@ -515,6 +513,22 @@ def test_3j_orthogonality_sum():
 # Wigner D
 # ---------------------------------------------------------------------------
 
+def wigner_D(j, mp, m, psi, theta, phi):
+    """Wigner D^j_{mp,m}(psi, theta, phi) = e^{-i mp psi} d^j_{mp,m} e^{-i m phi}."""
+    d = sf.wigner_d_small(j, mp, m, theta)
+    val = np.exp(-1j * mp * np.asarray(psi)) * d * np.exp(-1j * m * np.asarray(phi))
+    return val if np.ndim(val) else complex(val)
+
+
+def euler_su2(psi, theta, phi) -> np.ndarray:
+    """SU(2) matrix whose polynomial representation matches ``wigner_D``."""
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    ep = np.exp(-0.5j * (psi + phi))
+    em = np.exp(-0.5j * (psi - phi))
+    return np.array([[c * ep, s * em], [-s * np.conj(em), c * np.conj(ep)]])
+
+
 def _angular_momentum_j(two_j):
     dim = two_j + 1
     ms = np.array([two_j / 2.0 - k for k in range(dim)])  # m = j..-j
@@ -551,12 +565,12 @@ def test_wigner_d_matches_expm_oracle(two_j):
 def test_wigner_D_identity_rotation():
     for j, mp, m in [(0.5, 0.5, -0.5), (1, 1, 1), (2, -1, 1), (1.5, 0.5, 0.5)]:
         want = 1.0 if mp == m else 0.0
-        assert sf.wigner_D(j, mp, m, 0.0, 0.0, 0.0) == pytest.approx(want, abs=1e-15)
+        assert wigner_D(j, mp, m, 0.0, 0.0, 0.0) == pytest.approx(want, abs=1e-15)
 
 
 def test_wigner_D_half_spin_diagonal():
     theta = 1.234
-    assert sf.wigner_D(0.5, 0.5, 0.5, 0.0, theta, 0.0) == pytest.approx(
+    assert wigner_D(0.5, 0.5, 0.5, 0.0, theta, 0.0) == pytest.approx(
         math.cos(theta / 2)
     )
 
@@ -572,7 +586,7 @@ def test_wigner_D_relates_to_harmonics():
             lhs = math.sqrt(4 * math.pi / (2 * l + 1)) * np.conj(
                 sf.spherical_harmonic(l, m, th, ph)
             )
-            rhs = sf.wigner_D(l, 0, m, psi, th, ph)
+            rhs = wigner_D(l, 0, m, psi, th, ph)
             assert complex(lhs) == pytest.approx(complex(rhs), abs=1e-13)
 
 
@@ -583,7 +597,7 @@ def test_wigner_D_unitarity(two_j):
     psi, th, ph = rng.uniform(0.1, 3.0, size=3)
     dim = two_j + 1
     mat = np.array([
-        [sf.wigner_D(j, two_j / 2 - a, two_j / 2 - b, psi, th, ph) for b in range(dim)]
+        [wigner_D(j, two_j / 2 - a, two_j / 2 - b, psi, th, ph) for b in range(dim)]
         for a in range(dim)
     ])
     assert np.max(np.abs(mat @ mat.conj().T - np.eye(dim))) < 1e-12
@@ -598,7 +612,7 @@ def test_wigner_D_group_composition():
 
     def dmat(a, b, c):
         return np.array([
-            [sf.wigner_D(j, two_j / 2 - r, two_j / 2 - s, a, b, c) for s in range(dim)]
+            [wigner_D(j, two_j / 2 - r, two_j / 2 - s, a, b, c) for s in range(dim)]
             for r in range(dim)
         ])
 
@@ -610,24 +624,26 @@ def test_wigner_D_group_composition():
 def test_wigner_D_su2_consistent_with_euler():
     for (j, mp, m) in [(0.5, 0.5, -0.5), (1, 0, 1), (1.5, 1.5, -0.5), (2, -2, 2)]:
         psi, th, ph = 0.3, 0.9, 1.7
-        u = sf.euler_su2(psi, th, ph)
+        u = euler_su2(psi, th, ph)
         got = sf.wigner_D_su2(j, mp, m, u)
-        want = sf.wigner_D(j, mp, m, psi, th, ph)
+        want = wigner_D(j, mp, m, psi, th, ph)
         assert got == pytest.approx(complex(want), abs=1e-13)
 
 
 def test_wigner_D_su2_homogeneous_scaling():
-    u = 1.7 * sf.euler_su2(0.4, 1.0, 2.0)
+    u = 1.7 * euler_su2(0.4, 1.0, 2.0)
     got = sf.wigner_D_su2(1.5, 0.5, -0.5, u)
-    want = 1.7 ** 3 * sf.wigner_D(1.5, 0.5, -0.5, 0.4, 1.0, 2.0)
+    want = 1.7 ** 3 * wigner_D(1.5, 0.5, -0.5, 0.4, 1.0, 2.0)
     assert got == pytest.approx(complex(want), rel=1e-12)
 
 
 def test_wigner_D_rejects_bad_projection():
-    with pytest.raises(ValueError):
-        sf.wigner_D(1, 0.5, 0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        sf.wigner_D(1, 2, 0, 0.0, 1.0, 0.0)
+    u = euler_su2(0.0, 1.0, 0.0)
+    for mp, m in ((0.5, 0), (2, 0)):
+        with pytest.raises(ValueError):
+            sf.wigner_d_small(1, mp, m, 1.0)
+        with pytest.raises(ValueError):
+            sf.wigner_D_su2(1, mp, m, u)
 
 
 # ---------------------------------------------------------------------------
