@@ -147,9 +147,6 @@ class QuadratureRule:
                 f"weights sum to {total!r}, expected measure {self.measure!r}"
             )
 
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
 
 def _check_nodes(npts: int):
     if not MIN_NODES <= npts <= MAX_NODES:

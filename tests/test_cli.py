@@ -1,23 +1,49 @@
-"""Command-line contract: outputs, exit codes, determinism, report schema."""
+"""Command-line contract: outputs, exit codes, determinism, report schema.
 
+Commands run through ``cli.main`` in this interpreter.  A fresh interpreter
+starts only where the process is the subject: the BLAS thread count read at
+import, the modules a command loads, and the parity of ``python -m
+fockspace.cli`` with ``cli.main``.
+"""
+
+import contextlib
+import io
 import json
 import math
 import os
 import re
-import subprocess
-import sys
+import warnings
+from typing import NamedTuple
 
 import pytest
 
 from fockspace import cli, specfun, verify
 
 
-def run_cli(*args, env=None, flags=()):
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "fockspace.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-    return proc
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args) -> Run:
+    """``fockspace *args`` through ``cli.main`` in this interpreter.
+
+    The exit code is main's return value, or the code of the ``SystemExit``
+    that argparse's ``parser.error`` raises.  Any other exception escapes, as
+    a traceback would end the process.  A warning is raised as an error: a
+    process prints it to stderr, but in process pytest would capture it and
+    a check on stderr would pass unseen.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Run(code, out.getvalue(), err.getvalue())
 
 
 def test_eval_momentum_ground_state():
@@ -338,43 +364,42 @@ def _without_blas_variables() -> dict:
     return {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
 
 
-def _python_lines(code: str, env: dict) -> list:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return proc.stdout.splitlines()
-
-
 _THREADS = "len(os.listdir('/proc/self/task'))"
 needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                       reason="no /proc/self/task to count threads")
 
 
 @needs_proc_tasks
-def test_cli_starts_blas_with_one_thread_by_default():
-    lines = _python_lines(f"import os, fockspace.cli\nprint({_THREADS})",
-                          _without_blas_variables())
-    assert lines == ["1"]
+def test_cli_starts_blas_with_one_thread_by_default(fresh_python):
+    proc = fresh_python(["-c", f"import os, fockspace.cli\nprint({_THREADS})"],
+                        env=_without_blas_variables())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1"]
 
 
 @needs_proc_tasks
-def test_a_blas_thread_variable_the_user_set_wins():
+def test_a_blas_thread_variable_the_user_set_wins(fresh_python):
     env = dict(_without_blas_variables(), OPENBLAS_NUM_THREADS="2")
     code = (f"import os, fockspace.cli\n"
             f"print(os.environ['OPENBLAS_NUM_THREADS'], 'MKL_NUM_THREADS' in os.environ)\n"
             f"print({_THREADS})")
-    value, threads = _python_lines(code, env)
+    proc = fresh_python(["-c", code], env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.splitlines()
     assert value == "2 False"
     if os.cpu_count() > 1:  # OpenBLAS sizes its pool by the CPUs it sees
         assert int(threads) > 1
 
 
-def test_cli_imported_after_numpy_leaves_the_environment_alone():
+def test_cli_imported_after_numpy_leaves_the_environment_alone(fresh_python):
     code = ("import os, numpy\nbefore = dict(os.environ)\nimport fockspace.cli\n"
             "print(dict(os.environ) == before)")
-    assert _python_lines(code, _without_blas_variables()) == ["True"]
+    proc = fresh_python(["-c", code], env=_without_blas_variables())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True"]
 
 
-def test_verify_report_does_not_depend_on_blas_thread_count():
+def test_verify_report_does_not_depend_on_blas_thread_count(fresh_python):
     # byte for byte, elapsed_ms aside: no reduction's summation order may
     # follow the number of BLAS threads.  The second run is in dev mode, where
     # an unclosed pipe of the worker pool or a fork warning would show.
@@ -383,7 +408,8 @@ def test_verify_report_does_not_depend_on_blas_thread_count():
     outputs = []
     for threads, flags in (({}, ()), ({"OPENBLAS_NUM_THREADS": "2"}, ("-X", "dev"))):
         env = dict(_without_blas_variables(), **threads)
-        proc = run_cli("verify", "all", "--seed", "42", "--format", "json", env=env, flags=flags)
+        proc = fresh_python(["-m", "fockspace.cli", "verify", "all", "--seed", "42",
+                             "--format", "json"], env=env, flags=flags)
         assert proc.returncode == 0
         outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
     assert re.fullmatch(r"all: \d+ passed, 0 failed \(seed 42\)\n", proc.stderr), proc.stderr
@@ -447,20 +473,32 @@ def test_report_roundtrip_and_counts():
     assert data["passed"] == report.passed
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(fresh_python):
     # the package needs numpy alone; scipy is a test-only oracle.  eval and
     # table load only the modules they run, before and after a command.
-    proc = subprocess.run(
-        [sys.executable, "-c",
+    proc = fresh_python(
+        ["-c",
          "import sys, fockspace.cli\n"
          "def loaded(pkg):\n"
          "    return sorted(m for m in sys.modules if m.split('.')[0] == pkg)\n"
          "print(loaded('scipy'), loaded('fockspace'))\n"
          "fockspace.cli.main(['eval', 'momentum', '--n', '2', '--l', '1', '--m', '0',\n"
          "                    '--point', '0.1', '0.2', '0.3', '--out', '/dev/null'])\n"
-         "print(loaded('scipy'), loaded('fockspace'))"],
-        capture_output=True, text=True, check=True,
-    )
+         "print(loaded('scipy'), loaded('fockspace'))"])
+    assert proc.returncode == 0, proc.stderr
     only = ("[] ['fockspace', 'fockspace.cli', 'fockspace.errors', 'fockspace.hydrogen', "
             "'fockspace.specfun']")
     assert proc.stdout.splitlines() == [only, only]
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "momentum", "--n", "2", "--l", "1", "--m", "0", "--point", "0.1", "0.2", "0.3"),
+    ("table", "radial", "--n", "1", "--l", "3", "--grid", "0", "1", "3"),
+    ("verify", "maps", "--tol", "ks_integral=1e-30", "--format", "csv"),
+], ids=["eval", "table-usage-error", "verify-failure"])
+def test_module_entry_point_matches_main_in_process(args, fresh_python):
+    # python -m fockspace.cli runs sys.exit(main()): the same bytes and exit
+    # code as run_cli, so the in-process tests speak for the real command
+    proc = fresh_python(["-m", "fockspace.cli", *args])
+    assert (proc.returncode, proc.stdout, proc.stderr) == tuple(run_cli(*args))
+    assert proc.returncode == {"eval": 0, "table": 2, "verify": 1}[args[0]]

@@ -3,9 +3,6 @@ exported function, every demo runs on it, and the runtime needs numpy alone."""
 
 import ast
 import importlib
-import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -33,37 +30,8 @@ UNREACHED = {
     "clifford.det_identity": ("demos/clifford_gaussians.py", "the demo's one-row check"),
 }
 
-# Run in a fresh interpreter, so that no cache an earlier test filled hides a
-# call: prints [every public function, those a seed-42 case calls].
-_REACH = """
-import importlib, inspect, json, sys
-import fockspace
-from fockspace import verify
-public = {}
-for module in fockspace.__all__:
-    mod = importlib.import_module("fockspace." + module)
-    for name in mod.__all__:
-        function = inspect.unwrap(getattr(mod, name))  # through lru_cache
-        if inspect.isfunction(function):
-            public[function.__code__] = module + "." + name
-called = set()
-
-def profile(frame, event, arg):
-    if event == "call":
-        called.add(frame.f_code)
-
-sys.setprofile(profile)
-for suite in verify.SUITES.values():
-    suite(42, None, None)
-sys.setprofile(None)
-print(json.dumps([sorted(public.values()), sorted(public[c] for c in called if c in public)]))
-"""
-
-
-def test_every_public_function_is_reached_by_a_verify_case():
-    proc = subprocess.run([sys.executable, "-c", _REACH], capture_output=True, text=True,
-                          check=True)
-    public, reached = map(set, json.loads(proc.stdout))
+def test_every_public_function_is_reached_by_a_verify_case(fresh_reach):
+    public, reached = set(fresh_reach["public"]), set(fresh_reach["reached"])
     unreached = sorted(public - reached - set(UNREACHED))
     assert not unreached, f"no verify case reaches {unreached}"
     # an allowed name that a case now reaches, or that is gone, is stale
@@ -83,9 +51,8 @@ def test_unreached_function_is_called_where_its_reason_says(qualified):
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          timeout=120)
+def test_demo_runs(demo, fresh_python):
+    proc = fresh_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -129,26 +96,20 @@ def test_source_imports_no_scipy(source):
 
 
 @pytest.mark.parametrize("module", [path.stem for path in SOURCES if path.stem != "__init__"])
-def test_module_imports_on_its_own(module):
+def test_module_imports_on_its_own(module, fresh_python):
     # submodules load on first use, so an import cycle would show here
-    subprocess.run([sys.executable, "-c", f"import fockspace.{module}"], check=True)
+    proc = fresh_python(["-c", f"import fockspace.{module}"])
+    assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_all_loads_no_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from fockspace import verify\n"
-         "assert verify.run_verify('all').failed == 0\n"
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fockspace'))"],
-        capture_output=True, text=True, check=True,
-    )
-    scipy, package = proc.stdout.splitlines()
-    assert scipy == "[]"
+def test_verify_all_loads_no_scipy(fresh_reach):
+    # the suites ran serially, so an import made inside a suite shows too
+    assert not any(fresh_reach["failed"].values())
+    assert fresh_reach["scipy"] == []
     # the verify path loads every module but the command line
-    assert package == str(sorted(["fockspace"] + [f"fockspace.{path.stem}" for path in SOURCES
-                                                  if path.stem not in ("__init__", "cli")]))
+    assert fresh_reach["fockspace"] == sorted(
+        ["fockspace"] + [f"fockspace.{path.stem}" for path in SOURCES
+                         if path.stem not in ("__init__", "cli")])
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
